@@ -28,8 +28,8 @@ from .control import (
     write_sweep_csv,
 )
 from .identify import empirical_acf, fit_acf, fit_moments, format_fit_report, read_series_csv, write_fit_report_csv
-from .lift import MarkovianLift, build_lift, convergence_report, format_convergence_table, write_lift_csv
-from .measures import GammaMixingMeasure, TemperedStableLevy, levy_moment, pi_quantile
+from .lift import build_lift, convergence_report, format_convergence_table, write_lift_csv
+from .measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
 from .process import (
     Controller,
     SupCbiModel,
@@ -397,13 +397,6 @@ def cmd_identify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_lift_for_n(pi: GammaMixingMeasure, n: int) -> MarkovianLift:
-    if n == 1:
-        return MarkovianLift(m=0, r=np.array([pi_quantile(pi, 0.5)]), c=np.array([1.0]))
-    m = int(round(math.log2(n)))
-    return build_lift(pi, m)
-
-
 def _parse_perturb(value: str):
     parts = value.split(",")
     if len(parts) != 4:
@@ -441,8 +434,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     # 2. BKE residuals for small lifts
     tol = 1e-8
-    for n in (1, 2, 4):
-        lift = _verify_lift_for_n(model.pi, n)
+    for m in (0, 1, 2):
+        lift = build_lift(model.pi, m)
+        n = lift.n
         worst_j = worst_k = 0.0
         for _ in range(n_draws):
             q = float(rng.uniform(0.2, 2.0))

@@ -14,8 +14,11 @@ from dataclasses import dataclass, field
 from typing import IO, Optional, Sequence
 
 import numpy as np
+from scipy import integrate
+from scipy.special import hyperu
 
-from .lift import MarkovianLift, build_lift, lift_inv_mean
+from .lift import MarkovianLift, lift_inv_mean
+from .measures import inv_mean
 from .process import SupCbiModel, stationary_mean, stationary_variance
 
 __all__ = [
@@ -525,17 +528,43 @@ def bke_residual_K(
     )
 
 
-def continuum_J_K_P(
-    model: SupCbiModel, q: float, h: float, m: int
-) -> tuple[float, float, float]:
-    """Quadrature evaluation of the measure-integral forms of J, K, P.
+def _resolvent_ratio(alpha: float, z: float) -> float:
+    """T(s)/R = (alpha-1) z^(alpha-1) U(alpha, alpha, z), z = s/beta > 0.
 
-    Uses the quantile lift at resolution m as the quadrature rule, so at a
-    fixed m it coincides with the lifted evaluators; it converges as m grows.
+    For larger alpha (integer alpha from 16, for one) hyperu returns nan at
+    small and moderate z, and z^(alpha-1) can overflow at large z; there the
+    equivalent Laplace form ((alpha-1)/alpha) * integral over u > 0 of
+    exp(-z u/alpha) (1 + u/alpha)^(-alpha) du is integrated instead, which
+    decays fast for large alpha.
     """
-    lift = build_lift(model.pi, m)
+    with np.errstate(all="ignore"):
+        ratio = (alpha - 1.0) * z ** (alpha - 1.0) * float(hyperu(alpha, alpha, z))
+    if math.isfinite(ratio):
+        return ratio
+    val, _ = integrate.quad(
+        lambda u: math.exp(-z * u / alpha - alpha * math.log1p(u / alpha)),
+        0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200,
+    )
+    return (alpha - 1.0) / alpha * val
+
+
+def continuum_J_K_P(model: SupCbiModel, q: float, h: float) -> tuple[float, float, float]:
+    """Exact m -> infinity limits of J, K and P, from their measure-integral forms.
+
+    All three reduce to T(s) = integral of pi(dr) / (r + s) at s = h/D, which
+    for the Gamma measure is s^(alpha-1) U(alpha, alpha, s/beta) / beta^alpha
+    (U the confluent hypergeometric function of the second kind); T/R tends to
+    1 as h -> 0, R being the inverse first moment.
+    """
+    if h < 0.0 or q <= 0.0:
+        raise ValueError("need h >= 0 and q > 0")
+    pi = model.pi
+    ratio = 1.0 if h == 0.0 else _resolvent_ratio(pi.alpha, h / (model.D * pi.beta))
+    r_exact = inv_mean(pi)
+    mean = model.A * model.M1 / model.D * r_exact
+    var = 0.5 * model.A * model.M2 / model.D**2 * r_exact
     return (
-        eval_J(model, lift, q, h),
-        eval_K(model, lift, q, h),
-        eval_P(model, lift, q, h),
+        var * (1.0 + (q * q - 1.0) * (1.0 - ratio)),
+        h * h * (1.0 - q) ** 2 * var * ratio,
+        (q - 1.0) ** 2 * (mean**2 + var * (1.0 - ratio)),
     )

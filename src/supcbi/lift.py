@@ -1,8 +1,9 @@
 """Quantile-based Markovian lift of the reversion-rate measure.
 
-The measure pi is replaced by n = 2^m atoms: rates r_i at the odd quantiles of
-level (2i-1)/(2n) and uniform weights c_i = 1/n. The key diagnostic is how fast
-R_n = sum(c_i / r_i) approaches R = integral of 1/r against pi.
+The measure pi is replaced by n = 2^m atoms (m >= 0): rates r_i at the odd
+quantiles of level (2i-1)/(2n) and uniform weights c_i = 1/n, so m = 0 gives
+the single median atom. The key diagnostic is how fast R_n = sum(c_i / r_i)
+approaches R = integral of 1/r against pi.
 """
 
 from __future__ import annotations
@@ -53,13 +54,11 @@ class MarkovianLift:
 
 def build_lift(pi: GammaMixingMeasure, m: int) -> MarkovianLift:
     """Build the quantile lift: r_i at the odd (2i-1)/(2n) quantiles, c_i = 1/n."""
-    if m < 1:
-        raise ValueError(f"lift resolution m must be at least 1, got {m}")
+    if m < 0:
+        raise ValueError(f"lift resolution m must be nonnegative, got {m}")
     n = 2**m
     levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    r = np.array([pi_quantile(pi, p) for p in levels])
-    c = np.full(n, 1.0 / n)
-    return MarkovianLift(m=m, r=r, c=c)
+    return MarkovianLift(m=m, r=pi_quantile(pi, levels), c=np.full(n, 1.0 / n))
 
 
 def lift_inv_mean(lift: MarkovianLift) -> float:

@@ -1,10 +1,12 @@
 """Mixing and Levy measures: Gamma reversion-rate measure and tempered stable jumps.
 
 The Gamma measure pi(dr) ~ r^(alpha-1) exp(-r/beta) dr supplies the spectrum of
-reversion rates; its quantiles are computed with a series/continued-fraction
-evaluation of the regularized incomplete gamma function combined with bisection.
-The tempered stable measure nu(dz) = exp(-c2 z) z^(-(1+c1)) dz drives the jumps;
-its moments have the closed form M_k = Gamma(k - c1) * c2^(c1 - k).
+reversion rates; its distribution function and quantiles are the regularized
+incomplete gamma function and its inverse (scipy.special.gammainc and
+gammaincinv), scaled by beta. The tempered stable measure
+nu(dz) = exp(-c2 z) z^(-(1+c1)) dz drives the jumps; its moments have the
+closed form M_k = Gamma(k - c1) * c2^(c1 - k), and its tails above a
+truncation level follow from the upper incomplete gamma function.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import exp1, gammainc, gammaincc, gammaincinv
 
 __all__ = [
     "GammaMixingMeasure",
@@ -24,72 +27,24 @@ __all__ = [
     "reg_upper_gamma",
 ]
 
-_MAX_ITER = 800
-_EPS = 1e-16
 
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    """Regularized P(a, x) by power series; valid for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    ap = a
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    """Regularized Q(a, x) by modified Lentz continued fraction; valid for x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return f * math.exp(-x + a * math.log(x) - math.lgamma(a))
+def _check_gamma_args(a: float, x: float) -> None:
+    if a <= 0.0:
+        raise ValueError("shape parameter must be positive")
+    if x < 0.0:
+        raise ValueError("argument must be nonnegative")
 
 
 def reg_lower_gamma(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0."""
-    if a <= 0.0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0.0:
-        raise ValueError("argument must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_gamma_series(a, x)
-    return 1.0 - _upper_gamma_cf(a, x)
+    _check_gamma_args(a, x)
+    return float(gammainc(a, x))
 
 
 def reg_upper_gamma(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0.0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0.0:
-        raise ValueError("argument must be nonnegative")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, x)
-    return _upper_gamma_cf(a, x)
+    _check_gamma_args(a, x)
+    return float(gammaincc(a, x))
 
 
 @dataclass(frozen=True)
@@ -113,7 +68,7 @@ class GammaMixingMeasure:
         """Cumulative probability of the reversion rate up to r."""
         if r <= 0.0:
             return 0.0
-        return reg_lower_gamma(self.alpha, r / self.beta)
+        return float(gammainc(self.alpha, r / self.beta))
 
     def pdf(self, r: float) -> float:
         """Density of the reversion rate at r > 0."""
@@ -128,43 +83,26 @@ def inv_mean(pi: GammaMixingMeasure) -> float:
     return 1.0 / (pi.beta * (pi.alpha - 1.0))
 
 
-def pi_quantile(pi: GammaMixingMeasure, p: float, rel_tol: float = 1e-12) -> float:
+def pi_quantile(pi: GammaMixingMeasure, p: float | np.ndarray) -> float | np.ndarray:
     """Quantile of the Gamma mixing measure: theta with cdf(theta) = p.
 
-    p = 0 maps to 0 and p = 1 maps to +inf. Solved by bisection after
-    doubling an initial bracket; relative tolerance on theta.
+    p is a probability or an array of them; the result is beta times the
+    inverse regularized lower incomplete gamma function of p, a float for a
+    scalar p and an array otherwise. p = 0 maps to 0 and p = 1 maps to +inf.
     """
-    if not 0.0 <= p <= 1.0:
+    probs = np.asarray(p, dtype=float)
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):
         raise ValueError(f"probability must lie in [0, 1], got {p}")
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return math.inf
-    hi = pi.beta * (pi.alpha + 40.0 * math.sqrt(pi.alpha))
-    for _ in range(200):
-        if pi.cdf(hi) >= p:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("quantile bracketing failed to enclose the target probability")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if pi.cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * hi:
-            break
-    return 0.5 * (lo + hi)
+    theta = pi.beta * gammaincinv(pi.alpha, probs)
+    return float(theta) if theta.ndim == 0 else theta
 
 
 @dataclass(frozen=True)
 class TemperedStableLevy:
     """Tempered stable Levy measure nu(dz) = exp(-c2 z) z^(-(1+c1)) dz on (0, inf).
 
-    c1 < 1 and c2 > 0 guarantee finite variation and finite first and second
-    moments. c1 in (0, 1) gives infinite activity.
+    c1 < 1 and c2 > 0 guarantee finite variation and finite moments of every
+    order k >= 1. c1 in (0, 1) gives infinite activity.
     """
 
     c1: float
@@ -178,14 +116,14 @@ class TemperedStableLevy:
 
     def truncated_moment(self, k: int, eps: float) -> float:
         """M_k(eps) = integral of z^k nu(dz) over [eps, inf)."""
-        _check_moment_order(self, k)
+        _check_moment_order(k)
         if eps < 0.0:
             raise ValueError("truncation level must be nonnegative")
         a = k - self.c1
         full = math.gamma(a) * self.c2 ** (-a)
         if eps == 0.0:
             return full
-        return full * reg_upper_gamma(a, self.c2 * eps)
+        return full * float(gammaincc(a, self.c2 * eps))
 
     def truncation_bias(self, eps: float) -> float:
         """Dropped first-moment mass: integral of z nu(dz) over (0, eps)."""
@@ -199,13 +137,11 @@ class TemperedStableLevy:
         x = c2 * eps
         if c1 > 0.0:
             # Gamma(-c1, x) via the recurrence lifting the parameter above zero.
-            upper = reg_upper_gamma(1.0 - c1, x) * math.gamma(1.0 - c1)
+            upper = float(gammaincc(1.0 - c1, x)) * math.gamma(1.0 - c1)
             return c2**c1 * (x**-c1 * math.exp(-x) - upper) / c1
         if c1 == 0.0:
-            from scipy.special import exp1
-
             return float(exp1(x))
-        return c2**c1 * math.gamma(-c1) * reg_upper_gamma(-c1, x)
+        return c2**c1 * math.gamma(-c1) * float(gammaincc(-c1, x))
 
     def sample_truncated(self, eps: float, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw jump sizes from nu restricted to [eps, inf), normalized.
@@ -238,14 +174,13 @@ class TemperedStableLevy:
 
 
 def levy_moment(nu: TemperedStableLevy, k: int) -> float:
-    """k-th moment M_k = Gamma(k - c1) * c2^(c1 - k) of the Levy measure, k in {1, 2}."""
-    _check_moment_order(nu, k)
+    """k-th moment M_k = Gamma(k - c1) * c2^(c1 - k) of the Levy measure, integer k >= 1."""
+    _check_moment_order(k)
     a = k - nu.c1
     return math.gamma(a) * nu.c2 ** (nu.c1 - k)
 
 
-def _check_moment_order(nu: TemperedStableLevy, k: int) -> None:
-    if k not in (1, 2):
-        raise ValueError(f"moment order must be 1 or 2, got {k}")
-    if k - nu.c1 <= 0.0:
-        raise ValueError("moment order must exceed the stability index")
+def _check_moment_order(k: int) -> None:
+    # c1 < 1, so every order k >= 1 exceeds the stability index
+    if k < 1 or k != int(k):
+        raise ValueError(f"moment order must be an integer k >= 1, got {k}")

@@ -23,8 +23,8 @@ from supcbi.control import (
     solve_hbar,
 )
 from supcbi.identify import fit_acf, fit_moments
-from supcbi.lift import MarkovianLift, build_lift, convergence_report
-from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, pi_quantile
+from supcbi.lift import build_lift, convergence_report
+from supcbi.measures import GammaMixingMeasure, TemperedStableLevy
 from supcbi.process import (
     Controller,
     SupCbiModel,
@@ -58,12 +58,6 @@ def reference_model():
         A=0.5, B=0.3, pi=GammaMixingMeasure(alpha=2.1, beta=0.8),
         nu=TemperedStableLevy(c1=0.4, c2=1.3), baseflow=0.0,
     )
-
-
-def small_lift(pi, n):
-    if n == 1:
-        return MarkovianLift(m=0, r=np.array([pi_quantile(pi, 0.5)]), c=np.array([1.0]))
-    return build_lift(pi, int(round(math.log2(n))))
 
 
 def test_criterion_01_lift_convergence_tables(tmp_path):
@@ -165,8 +159,9 @@ def test_criterion_06_solver_round_trip(random_model_pool):
 def test_criterion_07_bke_residual_certification():
     model = reference_model()
     rng = np.random.default_rng(44)
-    for n in (1, 2, 4):
-        lift = small_lift(model.pi, n)
+    for m in (0, 1, 2):
+        lift = build_lift(model.pi, m)
+        n = lift.n
         for _ in range(20):
             q = float(rng.uniform(0.2, 2.0))
             h = float(rng.uniform(0.05, 3.0))
@@ -176,8 +171,9 @@ def test_criterion_07_bke_residual_certification():
     # negative control: every coefficient must register a 1% perturbation
     q, h = 0.5, 0.1
     neg_rng = np.random.default_rng(2)
-    for n in (1, 2, 4):
-        lift = small_lift(model.pi, n)
+    for m in (0, 1, 2):
+        lift = build_lift(model.pi, m)
+        n = lift.n
         states = neg_rng.uniform(0.0, 3.0, size=(100, n + 1))
         perturbs = [("const", 0, 0, 1.01)]
         for i in range(n + 1):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from supcbi.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK, main
-from supcbi.lift import build_lift
+from supcbi.lift import MarkovianLift, build_lift
 from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
 from supcbi.process import SupCbiModel, simulate, stationary_mean
 
@@ -180,6 +180,25 @@ class TestIdentifyCommand:
         emp_mean = float(lines[1].split(",")[1])
         fit_mean = float(lines[1].split(",")[2])
         assert fit_mean == pytest.approx(emp_mean, rel=0.01)
+
+    def test_exponential_acf_reports_degenerate_fit(self, tmp_path):
+        # a single reversion rate gives an exponential ACF; its fit runs off to
+        # alpha ~ 1e7, where the lift of the fitted Gamma measure is very narrow
+        pi = GammaMixingMeasure(alpha=2.0, beta=0.05)
+        model = SupCbiModel(A=0.8, B=0.0, pi=pi, nu=TemperedStableLevy(c1=0.2, c2=1.0), baseflow=1.0)
+        lift = MarkovianLift(m=0, r=np.array([0.1]), c=np.array([1.0]))
+        path = simulate(model, lift, horizon=17520.0, dt=1.0, eps=1e-3, seed=0)
+        series_path = tmp_path / "series.csv"
+        series_path.write_text(
+            "timestamp,discharge_m3s\n"
+            + "".join(f"{float(k)},{v + model.baseflow:.17g}\n" for k, v in enumerate(path.y_total))
+        )
+        cfg = write_cfg(
+            tmp_path, f"series = {series_path}\nD = 0.5\nmax_lag = 100\nm = 4\nrestarts = 3\n"
+        )
+        assert run(["identify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        report = (tmp_path / "fit_report.txt").read_text()
+        assert "warning: ACF fit degenerate" in report
 
     def test_non_uniform_rejected(self, tmp_path):
         series_path = tmp_path / "bad.csv"

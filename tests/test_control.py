@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from supcbi.control import (
     ControlProblem,
@@ -21,8 +22,8 @@ from supcbi.control import (
     sweep,
     write_sweep_csv,
 )
-from supcbi.lift import MarkovianLift, build_lift
-from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, pi_quantile
+from supcbi.lift import build_lift
+from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, inv_mean
 from supcbi.process import SupCbiModel, stationary_mean, stationary_variance
 
 
@@ -226,7 +227,7 @@ class TestBkeResiduals:
 
     def test_singleton_lift(self, model_lift):
         model, _ = model_lift
-        lift = MarkovianLift(m=0, r=np.array([pi_quantile(model.pi, 0.5)]), c=np.array([1.0]))
+        lift = build_lift(model.pi, 0)
         rng = np.random.default_rng(4)
         states = rng.uniform(0.0, 3.0, size=(50, 2))
         assert bke_residual_J(model, lift, 0.8, 0.6, states) < 1e-12
@@ -242,13 +243,52 @@ class TestBkeResiduals:
         assert bke_residual_J(model, lift, q, h, states, perturb=("const", 0, 0, 1.01)) > 1e-4
 
 
+def _quadrature_J_K_P(model, q, h):
+    """J, K, P from their measure integrals against pi, by adaptive quadrature."""
+    pi, D = model.pi, model.D
+
+    def integral(f):
+        # split at the mean: the integrand may be singular at 0 and peaked near the mean
+        mid = pi.alpha * pi.beta
+        return sum(
+            integrate.quad(lambda r: f(r) * pi.pdf(r), lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            for lo, hi in ((0.0, mid), (mid, np.inf))
+        )
+
+    var_scale = 0.5 * model.A * model.M2 / D**2
+    mean = model.A * model.M1 / D * integral(lambda r: 1.0 / r)
+    return (
+        var_scale * integral(lambda r: (r * D + q * q * h) / (r * (r * D + h))),
+        h * h * (1.0 - q) ** 2 * var_scale * integral(lambda r: D / (r * D + h)),
+        (q - 1.0) ** 2 * (mean**2 + var_scale * integral(lambda r: h / (r * (r * D + h)))),
+    )
+
+
 class TestContinuum:
+    @pytest.mark.parametrize("alpha,beta", [(1.3, 0.5), (2.1, 0.8), (5.0, 0.1), (40.0, 0.02)])
+    def test_against_quadrature(self, alpha, beta):
+        model = make_model(alpha=alpha, beta=beta)
+        for q in (0.3, 1.7):
+            for h in (1e-3, 0.05, 0.8, 20.0, 1e3):
+                exact = continuum_J_K_P(model, q, h)
+                assert exact == pytest.approx(_quadrature_J_K_P(model, q, h), rel=1e-8)
+
+    def test_uncontrolled_limit(self):
+        model = make_model()
+        var = 0.5 * model.A * model.M2 / model.D**2 * inv_mean(model.pi)
+        mean = model.A * model.M1 / model.D * inv_mean(model.pi)
+        J, K, P = continuum_J_K_P(model, 0.6, 0.0)
+        assert (J, K) == (var, 0.0)
+        assert P == pytest.approx(0.16 * mean**2, rel=1e-15)
+        # the resolvent ratio tends to 1 continuously as h -> 0
+        assert continuum_J_K_P(model, 0.6, 1e-12)[0] == pytest.approx(J, rel=1e-9)
+
     def test_quadrature_converges(self):
         model = make_model()
         q, h = 0.7, 0.8
-        coarse = continuum_J_K_P(model, q, h, 4)
-        fine = continuum_J_K_P(model, q, h, 10)
-        finer = continuum_J_K_P(model, q, h, 11)
-        for c, f, ff in zip(coarse, fine, finer):
-            assert f == pytest.approx(ff, rel=1e-2)
-            assert abs(ff - f) < abs(ff - c)  # refinement reduces the gap
+        exact = continuum_J_K_P(model, q, h)
+        coarse, fine = build_lift(model.pi, 6), build_lift(model.pi, 13)
+        for evaluate, value in zip((eval_J, eval_K, eval_P), exact):
+            err_coarse = abs(evaluate(model, coarse, q, h) - value)
+            err_fine = abs(evaluate(model, fine, q, h) - value)
+            assert err_fine < err_coarse

@@ -12,7 +12,7 @@ from supcbi.lift import (
     lift_inv_mean,
     write_lift_csv,
 )
-from supcbi.measures import GammaMixingMeasure, inv_mean
+from supcbi.measures import GammaMixingMeasure, inv_mean, pi_quantile
 
 
 class TestBuildLift:
@@ -28,9 +28,22 @@ class TestBuildLift:
         lift = build_lift(GammaMixingMeasure(alpha=2.0, beta=1.0), 1)
         assert lift.n == 2
 
+    def test_single_atom_is_the_median(self):
+        pi = GammaMixingMeasure(alpha=2.0, beta=1.0)
+        lift = build_lift(pi, 0)
+        assert lift.n == 1
+        assert lift.r[0] == pi_quantile(pi, 0.5)
+        assert lift.c[0] == 1.0
+
     def test_invalid_resolution(self):
         with pytest.raises(ValueError):
-            build_lift(GammaMixingMeasure(alpha=2.0, beta=1.0), 0)
+            build_lift(GammaMixingMeasure(alpha=2.0, beta=1.0), -1)
+
+    @pytest.mark.parametrize("alpha", [1e6, 1e8])
+    def test_narrow_measure_rates_increase(self, alpha):
+        # an exponential-like ACF fit lands here; the rates must stay ordered
+        lift = build_lift(GammaMixingMeasure(alpha=alpha, beta=1.0 / alpha), 8)
+        assert np.all(np.diff(lift.r) > 0.0)
 
     def test_scale_covariance(self):
         # quantiles scale linearly in beta, so R_n scales as 1/beta

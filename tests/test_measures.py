@@ -57,7 +57,7 @@ class TestGammaMixingMeasure:
         # median of the unit-scale shape-2 Gamma distribution
         assert pi_quantile(pi, 0.5) == pytest.approx(1.67835, abs=1e-5)
         for p in (0.01, 0.2, 0.5, 0.9, 0.999):
-            for alpha, beta in ((1.8, 1.0), (2.2, 0.05), (3.5, 4.0)):
+            for alpha, beta in ((1.8, 1.0), (2.2, 0.05), (3.5, 4.0), (1e6, 1e-6), (1e8, 2.0)):
                 g = GammaMixingMeasure(alpha=alpha, beta=beta)
                 expected = beta * special.gammaincinv(alpha, p)
                 assert pi_quantile(g, p) == pytest.approx(expected, rel=1e-10)
@@ -68,6 +68,18 @@ class TestGammaMixingMeasure:
         assert pi_quantile(pi, 1.0) == math.inf
         with pytest.raises(ValueError):
             pi_quantile(pi, -0.1)
+
+    def test_quantile_of_array(self):
+        pi = GammaMixingMeasure(alpha=2.2, beta=0.3)
+        levels = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
+        theta = pi_quantile(pi, levels)
+        assert isinstance(theta, np.ndarray)
+        assert theta.tolist() == [pi_quantile(pi, p) for p in levels]
+        assert isinstance(pi_quantile(pi, 0.5), float)
+        with pytest.raises(ValueError):
+            pi_quantile(pi, np.array([0.5, 1.5]))
+        with pytest.raises(ValueError):
+            pi_quantile(pi, np.array([0.5, np.nan]))
 
 
 class TestTemperedStableLevy:
@@ -82,10 +94,18 @@ class TestTemperedStableLevy:
         nu = TemperedStableLevy(c1=0.5, c2=1.0)
         assert levy_moment(nu, 1) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
+    def test_moment_order_validation(self):
+        nu = TemperedStableLevy(c1=0.5, c2=1.0)
+        for k in (0, -1, 1.5):
+            with pytest.raises(ValueError):
+                levy_moment(nu, k)
+            with pytest.raises(ValueError):
+                nu.truncated_moment(k, 0.1)
+
     @pytest.mark.parametrize("c1", [-0.5, 0.0, 0.3, 0.772])
     def test_moments_against_quadrature(self, c1):
         nu = TemperedStableLevy(c1=c1, c2=1.3)
-        for k in (1, 2):
+        for k in (1, 2, 3, 4):
             num, _ = integrate.quad(
                 lambda z: z**k * math.exp(-nu.c2 * z) * z ** (-(1.0 + c1)), 0.0, np.inf
             )
@@ -95,7 +115,7 @@ class TestTemperedStableLevy:
     def test_truncated_moment_against_quadrature(self, c1):
         nu = TemperedStableLevy(c1=c1, c2=0.8)
         for eps in (1e-3, 0.1, 1.0):
-            for k in (1, 2):
+            for k in (1, 2, 3, 4):
                 num, _ = integrate.quad(
                     lambda z: z**k * math.exp(-nu.c2 * z) * z ** (-(1.0 + c1)), eps, np.inf
                 )
