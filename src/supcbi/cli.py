@@ -20,9 +20,6 @@ from .control import (
     InfeasibleProblem,
     bke_residual_J,
     bke_residual_K,
-    eval_J,
-    eval_K,
-    q_from_target,
     solve,
     sweep,
     write_sweep_csv,
@@ -33,6 +30,8 @@ from .measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
 from .process import (
     Controller,
     SupCbiModel,
+    _b_from_d,
+    _d_from_b,
     path_stats,
     simulate,
     stationary_mean,
@@ -107,50 +106,70 @@ def _get_int(config: dict[str, str], key: str, default: int | None = None) -> in
         raise ConfigError(f"key {key!r}: not an integer: {config[key]!r}") from exc
 
 
-def _resolve_pi_params(config: dict[str, str]) -> tuple[float, float, float, float | None]:
-    """Return (alpha, beta, D_or_nan, B_or_None) honoring the beta/Dbeta and B/D rules."""
+def _override(flag: int | None, config: dict[str, str], key: str, default: int) -> int:
+    """A command-line flag (--m, --seed) wins over the config key, which wins over the default."""
+    return flag if flag is not None else _get_int(config, key, default)
+
+
+def _get_d(config: dict[str, str]) -> float | None:
+    """The rate factor D when the config gives it; it must lie in (0, 1]."""
+    if "D" not in config:
+        return None
+    d_val = _get_float(config, "D")
+    if not 0.0 < d_val <= 1.0:
+        raise ConfigError(f"D must lie in (0, 1], got {d_val}")
+    return d_val
+
+
+def _mixing_measure(config: dict[str, str], d_val: float | None) -> GammaMixingMeasure:
+    """pi from alpha and exactly one of beta and Dbeta; Dbeta needs the rate factor D."""
     alpha = _get_float(config, "alpha")
     if ("beta" in config) == ("Dbeta" in config):
         raise ConfigError("exactly one of beta / Dbeta must be given")
-    b_val: float | None = _get_float(config, "B") if "B" in config else None
-    d_val: float | None = _get_float(config, "D") if "D" in config else None
-    if b_val is not None:
-        c1 = _get_float(config, "c1")
-        c2 = _get_float(config, "c2")
-        m1 = levy_moment(TemperedStableLevy(c1=c1, c2=c2), 1)
-        derived_d = 1.0 - b_val * m1
-        if derived_d <= 0.0:
-            raise ConfigError(f"B*M1 = {b_val * m1:.6g} >= 1 violates stationarity")
-        if d_val is not None and abs(d_val - derived_d) > 1e-6 * abs(d_val):
-            raise ConfigError(
-                f"inconsistent B and D: 1 - B*M1 = {derived_d:.9g} but D = {d_val:.9g}"
-            )
-        d_val = derived_d
+    if "beta" in config:
+        return GammaMixingMeasure(alpha=alpha, beta=_get_float(config, "beta"))
     if d_val is None:
-        raise ConfigError("need D (or B with c1, c2) to resolve the rate scale")
-    if not 0.0 < d_val <= 1.0:
-        raise ConfigError(f"D must lie in (0, 1], got {d_val}")
-    beta = _get_float(config, "beta") if "beta" in config else _get_float(config, "Dbeta") / d_val
-    return alpha, beta, d_val, b_val
+        raise ConfigError("Dbeta needs D to resolve the rate scale")
+    return GammaMixingMeasure(alpha=alpha, beta=_get_float(config, "Dbeta") / d_val)
 
 
 def _build_model(config: dict[str, str]) -> SupCbiModel:
-    alpha, beta, d_val, b_val = _resolve_pi_params(config)
-    c1 = _get_float(config, "c1")
-    c2 = _get_float(config, "c2")
-    nu = TemperedStableLevy(c1=c1, c2=c2)
-    if b_val is None:
-        b_val = (1.0 - d_val) / levy_moment(nu, 1)
-    try:
-        return SupCbiModel(
-            A=_get_float(config, "A"),
-            B=b_val,
-            pi=GammaMixingMeasure(alpha=alpha, beta=beta),
-            nu=nu,
-            baseflow=_get_float(config, "baseflow", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """The config's model: B given, or pinned to (1 - D)/M1 by a given D.
+
+    A given B fixes D = 1 - B*M1, which a D given as well must match to 1e-6
+    and which Dbeta is divided by.
+    """
+    d_val = _get_d(config)
+    nu = TemperedStableLevy(c1=_get_float(config, "c1"), c2=_get_float(config, "c2"))
+    if "B" in config:
+        b_val = _get_float(config, "B")
+        d_of_b = _d_from_b(b_val, levy_moment(nu, 1))
+        if d_val is not None and abs(d_val - d_of_b) > 1e-6 * d_val:
+            raise ConfigError(f"inconsistent B and D: 1 - B*M1 = {d_of_b:.9g} but D = {d_val:.9g}")
+        d_val = d_of_b
+    elif d_val is None:
+        raise ConfigError("need D (or B with c1, c2) to resolve the rate scale")
+    else:
+        b_val = _b_from_d(nu, d_val)
+    return SupCbiModel(
+        A=_get_float(config, "A"),
+        B=b_val,
+        pi=_mixing_measure(config, d_val),
+        nu=nu,
+        baseflow=_get_float(config, "baseflow", 0.0),
+    )
+
+
+def _control_problem(args: argparse.Namespace, config: dict[str, str], kbar: float) -> ControlProblem:
+    """The solve/sweep problem of a config: model, lift, target, Pbar, and the cost bound kbar."""
+    model = _build_model(config)
+    return ControlProblem(
+        model=model,
+        lift=build_lift(model.pi, _override(args.m, config, "m", 8)),
+        kbar=kbar,
+        pbar=_get_float(config, "Pbar") if "Pbar" in config else None,
+        **_target_kwargs(config),
+    )
 
 
 def _target_kwargs(config: dict[str, str]) -> dict[str, float]:
@@ -174,22 +193,9 @@ def _say(args: argparse.Namespace, message: str) -> None:
 
 def cmd_lift(args: argparse.Namespace) -> int:
     config = _parse_config(Path(args.config), "lift")
-    alpha = _get_float(config, "alpha")
-    if ("beta" in config) == ("Dbeta" in config):
-        raise ConfigError("exactly one of beta / Dbeta must be given")
-    if "beta" in config:
-        beta = _get_float(config, "beta")
-    else:
-        d_val = _get_float(config, "D")
-        if not 0.0 < d_val < 1.0:
-            raise ConfigError(f"D must lie in (0, 1), got {d_val}")
-        beta = _get_float(config, "Dbeta") / d_val
-    m_max = args.m if args.m is not None else _get_int(config, "m_max", _get_int(config, "m", 13))
+    pi = _mixing_measure(config, _get_d(config) if "Dbeta" in config else None)
+    m_max = _override(args.m, config, "m_max", _get_int(config, "m", 13))
     m_min = _get_int(config, "m_min", min(6, m_max))
-    try:
-        pi = GammaMixingMeasure(alpha=alpha, beta=beta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     rows = convergence_report(pi, m_min, m_max)
     lift = build_lift(pi, m_max)
     out = _out_dir(args)
@@ -221,16 +227,7 @@ def _solution_lines(sol) -> list[str]:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     config = _parse_config(Path(args.config), "solve")
-    model = _build_model(config)
-    lift = build_lift(model.pi, args.m if args.m is not None else _get_int(config, "m", 8))
-    problem = ControlProblem(
-        model=model,
-        lift=lift,
-        kbar=_get_float(config, "Kbar"),
-        pbar=_get_float(config, "Pbar") if "Pbar" in config else None,
-        **_target_kwargs(config),
-    )
-    sol = solve(problem)
+    sol = solve(_control_problem(args, config, _get_float(config, "Kbar")))
     lines = _solution_lines(sol)
     text = "\n".join(lines) + "\n"
     (_out_dir(args) / "solution.txt").write_text(text)
@@ -256,14 +253,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     if "sites_dir" in config:
         return _multi_site_sweep(args, config, grid, out)
-    model = _build_model(config)
-    lift = build_lift(model.pi, args.m if args.m is not None else _get_int(config, "m", 8))
-    problem = ControlProblem(
-        model=model, lift=lift, kbar=grid[0],
-        pbar=_get_float(config, "Pbar") if "Pbar" in config else None,
-        **_target_kwargs(config),
-    )
-    rows = sweep(problem, grid)
+    rows = sweep(_control_problem(args, config, grid[0]), grid)
     with open(out / "sweep.csv", "w", newline="\n") as fh:
         write_sweep_csv(rows, fh)
     _say(args, f"wrote {len(rows)} sweep rows to {out / 'sweep.csv'}")
@@ -287,14 +277,7 @@ def _multi_site_sweep(
         for key in ("Qhat", "Qabs"):
             if key in config and key not in site_config:
                 site_config[key] = config[key]
-        model = _build_model(site_config)
-        lift = build_lift(model.pi, args.m if args.m is not None else _get_int(site_config, "m", 8))
-        problem = ControlProblem(
-            model=model, lift=lift, kbar=grid[0],
-            pbar=_get_float(site_config, "Pbar") if "Pbar" in site_config else None,
-            **_target_kwargs(site_config),
-        )
-        rows = sweep(problem, grid)
+        rows = sweep(_control_problem(args, site_config, grid[0]), grid)
         per_site[site] = rows
         with open(out / f"sweep_{site}.csv", "w", newline="\n") as fh:
             write_sweep_csv(rows, fh)
@@ -320,7 +303,7 @@ def _multi_site_sweep(
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _parse_config(Path(args.config), "simulate")
     model = _build_model(config)
-    lift = build_lift(model.pi, args.m if args.m is not None else _get_int(config, "m", 4))
+    lift = build_lift(model.pi, _override(args.m, config, "m", 4))
     controller = None
     if "rho" in config or "u" in config or "xhat" in config:
         controller = Controller(
@@ -328,7 +311,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             u=_get_float(config, "u", 0.0),
             xhat=_get_float(config, "xhat"),
         )
-    seed = args.seed if args.seed is not None else _get_int(config, "seed", 0)
+    seed = _override(args.seed, config, "seed", 0)
     path = simulate(
         model, lift,
         horizon=_get_float(config, "horizon"),
@@ -381,10 +364,10 @@ def cmd_identify(args: argparse.Namespace) -> int:
     acf_fit = fit_acf(acf, d_val, dt=series.dt)
     report = fit_moments(
         series, acf_fit.alpha, acf_fit.beta, d=d_val, mode=mode,
-        m=args.m if args.m is not None else _get_int(config, "m", 8),
+        m=_override(args.m, config, "m", 8),
         acf_window=acf_fit.window,
         restarts=_get_int(config, "restarts", 20),
-        seed=args.seed if args.seed is not None else _get_int(config, "seed", 20240601),
+        seed=_override(args.seed, config, "seed", 20240601),
     )
     out = _out_dir(args)
     with open(out / "fit_report.csv", "w", newline="\n") as fh:
@@ -413,7 +396,7 @@ def _parse_perturb(value: str):
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _parse_config(Path(args.config), "verify")
     model = _build_model(config)
-    seed = args.seed if args.seed is not None else _get_int(config, "seed", 0)
+    seed = _override(args.seed, config, "seed", 0)
     n_states = _get_int(config, "states", 100)
     n_draws = _get_int(config, "draws", 20)
     perturb = _parse_perturb(config["perturb"]) if "perturb" in config else None
@@ -455,7 +438,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     eps = _get_float(config, "eps", 1e-3)
     horizon = _get_float(config, "horizon", 200.0)
     dt = _get_float(config, "dt", 0.5)
-    lift = build_lift(model.pi, args.m if args.m is not None else _get_int(config, "m", 2))
+    lift = build_lift(model.pi, _override(args.m, config, "m", 2))
     trunc = model.truncated(eps)
     reps = 8
     means = np.empty(reps)
@@ -475,7 +458,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # 4. truncation bias for the chosen eps
     bias = model.nu.truncation_bias(eps)
     lines.append(f"PASS truncation bias at eps={eps:.6g}: {bias:.6g}"
-                 f" ({bias / levy_moment(model.nu, 1):.3%} of M1)")
+                 f" ({bias / model.M1:.3%} of M1)")
 
     text = "\n".join(lines) + "\n"
     (_out_dir(args) / "verify.txt").write_text(text)

@@ -10,7 +10,7 @@ quadratic backward-Kolmogorov-equation solutions the formulas rest on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Optional, Sequence
 
 import numpy as np
@@ -143,6 +143,30 @@ def p_bounds(model: SupCbiModel, lift: MarkovianLift, q: float) -> tuple[float, 
     return (q - 1.0) ** 2 * mean**2, (q - 1.0) ** 2 * (mean**2 + var)
 
 
+def _bracket_bisect(f, target: float, hi: float, rel_tol: float) -> float | None:
+    """Root of an increasing f at target: double hi until f(hi) > target, then bisect [0, hi].
+
+    Bisection stops once the bracket is within rel_tol * hi; None when 200
+    doublings do not bracket the root.
+    """
+    for _ in range(200):
+        if f(hi) > target:
+            break
+        hi *= 2.0
+    else:
+        return None
+    lo = 0.0
+    for _ in range(500):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rel_tol * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
 def solve_hbar(
     model: SupCbiModel,
     lift: MarkovianLift,
@@ -179,23 +203,12 @@ def solve_hbar(
     elif method != "bisect":
         raise ValueError(f"unknown method {method!r}")
 
-    hi = max(math.sqrt(kbar / scale), 1.0)
-    for _ in range(200):
-        if eval_K(model, lift, q, hi) > kbar:
-            break
-        hi *= 2.0
-    else:
+    h = _bracket_bisect(
+        lambda h: eval_K(model, lift, q, h), kbar, max(math.sqrt(kbar / scale), 1.0), rel_tol
+    )
+    if h is None:
         raise RuntimeError("failed to bracket the cost root")
-    lo = 0.0
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        if eval_K(model, lift, q, mid) < kbar:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * hi:
-            break
-    return 0.5 * (lo + hi)
+    return h
 
 
 def solve_pbar_h(
@@ -209,23 +222,8 @@ def solve_pbar_h(
         )
     if pbar >= hi_bound:
         return math.inf
-    hi = 1.0
-    for _ in range(200):
-        if eval_P(model, lift, q, hi) > pbar:
-            break
-        hi *= 2.0
-    else:
-        return math.inf
-    lo = 0.0
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        if eval_P(model, lift, q, mid) < pbar:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * max(hi, 1e-300):
-            break
-    return 0.5 * (lo + hi)
+    h = _bracket_bisect(lambda h: eval_P(model, lift, q, h), pbar, 1.0, rel_tol)
+    return math.inf if h is None else h
 
 
 def solve(problem: ControlProblem) -> ControlSolution:
@@ -322,10 +320,6 @@ class QuadraticAnsatz:
     constant: float  # J for the variance equation, L for the cost equation
 
 
-def _p_grid(lift: MarkovianLift, h: float) -> np.ndarray:
-    return lift.r / h
-
-
 def variance_bke_coefficients(
     model: SupCbiModel, lift: MarkovianLift, q: float, h: float, xhat: float
 ) -> QuadraticAnsatz:
@@ -334,7 +328,7 @@ def variance_bke_coefficients(
         raise ValueError("coefficients require h > 0")
     n = lift.n
     D = model.D
-    p = _p_grid(lift, h)
+    p = lift.r / h
     pd1 = p * D + 1.0
     cr = lift.c / lift.r
 
@@ -355,12 +349,7 @@ def variance_bke_coefficients(
     s2 = float(np.sum(cr * p))
     b = np.zeros(n + 1)
     b[0] = (-2.0 * xhat + (q + 1.0) * am1 * s1) / h
-    cross = np.sum(
-        (cr * p)[None, :]
-        * (q - p[:, None] * D) * (q - p[None, :] * D) / ((p[:, None] + p[None, :]) * D)
-        * (1.0 / (p[:, None] * D + 1.0) + 1.0 / (p[None, :] * D + 1.0)),
-        axis=1,
-    )
+    cross = h * a[1:, 1:] @ (cr * p)  # the block a[1:, 1:] carries a factor 1/h
     rhs = (
         -2.0 * q * xhat
         + q * (q + 1.0) * am1 * s1
@@ -383,7 +372,7 @@ def cost_bke_coefficients(
         raise ValueError("coefficients require h > 0")
     n = lift.n
     D = model.D
-    p = _p_grid(lift, h)
+    p = lift.r / h
     pd1 = p * D + 1.0
     cr = lift.c / lift.r
 
@@ -410,16 +399,7 @@ def cost_bke_coefficients(
     s2 = float(np.sum(cr * p))
     b = np.zeros(n + 1)
     b[0] = -am1 * (q - 1.0) / h * s1
-    cross = np.sum(
-        (cr * p)[None, :]
-        / ((p[:, None] + p[None, :]) * D)
-        * (
-            -(q - p[:, None] * D) * (q + p[None, :] * D) / (p[None, :] * D + 1.0)
-            - (q - p[None, :] * D) * (q + p[:, None] * D) / (p[:, None] * D + 1.0)
-            + 2.0 * q * q
-        ),
-        axis=1,
-    )
+    cross = h * a[1:, 1:] @ (cr * p)  # the block a[1:, 1:] carries a factor 1/h
     diag_quad = (-((q + p * D) ** 2) + (p * D + q * q) * pd1) / (D * pd1)
     rhs = (
         -q * (q - 1.0) * am1 * s1

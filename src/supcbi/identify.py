@@ -5,21 +5,25 @@ over its longest positive prefix. Stage two matches moments: with D fixed and
 B pinned to (1 - D)/M1, a simplex search over (c1, c2, A, baseflow) minimizes
 the sum of squared relative errors of mean, variance, skewness, and kurtosis
 (or mean and variance only in analytic mode).
+
+Every sample statistic, of the observed series and of the Monte Carlo paths
+alike, comes from `process.path_stats`: the ACF, the unbiased variance, and
+the biased standardized skewness and kurtosis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
-from typing import IO, Optional
+from typing import IO
 
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
 from .lift import MarkovianLift, build_lift
-from .measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
-from .process import SupCbiModel, simulate, stationary_mean, stationary_variance
+from .measures import GammaMixingMeasure, TemperedStableLevy
+from .process import SupCbiModel, _b_from_d, path_stats, simulate, stationary_mean, stationary_variance
 
 __all__ = [
     "DischargeSeries",
@@ -89,20 +93,14 @@ def read_series_csv(inp: IO[str]) -> DischargeSeries:
 
 
 def empirical_acf(series: DischargeSeries, max_lag: int) -> np.ndarray:
-    """Sample autocorrelation for lags 0..max_lag; lag 0 is exactly 1."""
-    x = series.values
-    n = x.size
+    """Sample autocorrelation (see `path_stats`) for lags 0..max_lag; lag 0 is exactly 1."""
+    n = series.values.size
     if not 0 < max_lag < n / 4:
         raise ValueError(f"max_lag must lie in (0, N/4), got {max_lag} with N = {n}")
-    centered = x - x.mean()
-    denom = float(np.sum(centered**2))
-    if denom == 0.0:
+    stats = path_stats(series.values, max_lag)
+    if stats.degenerate:
         raise ValueError("constant series has no autocorrelation")
-    acf = np.empty(max_lag + 1)
-    acf[0] = 1.0
-    for k in range(1, max_lag + 1):
-        acf[k] = float(np.sum(centered[:-k] * centered[k:])) / denom
-    return acf
+    return stats.acf
 
 
 @dataclass(frozen=True)
@@ -175,17 +173,10 @@ class FitReport:
 
 
 def _series_stats(values: np.ndarray) -> dict[str, float]:
-    centered = values - values.mean()
-    var = float(np.sum(centered**2) / (values.size - 1))
-    if var == 0.0:
+    stats = path_stats(values, 0)
+    if stats.degenerate:
         raise ValueError("degenerate series: zero variance")
-    std = math.sqrt(var)
-    return {
-        "Average": float(values.mean()),
-        "Variance": var,
-        "Skewness": float(np.mean(centered**3)) / std**3,
-        "Kurtosis": float(np.mean(centered**4)) / std**4,
-    }
+    return dict(zip(_STAT_NAMES, (stats.mean, stats.variance, stats.skewness, stats.kurtosis)))
 
 
 def _mc_higher_moments(
@@ -199,7 +190,7 @@ def _mc_higher_moments(
     """Pooled skewness and kurtosis of Y_n over frozen-seed replicate paths."""
     nu = model.nu
     eps = 1.0
-    while nu.truncation_bias(eps) > 1e-3 * levy_moment(nu, 1):
+    while nu.truncation_bias(eps) > 1e-3 * model.M1:
         eps *= 0.5
         if eps < 1e-12:
             break
@@ -207,15 +198,10 @@ def _mc_higher_moments(
     for rep in range(replicates):
         path = simulate(model, lift, horizon=horizon, dt=dt, eps=eps, seed=seed, replicate=rep)
         pooled.append(path.y_total)
-    y = np.concatenate(pooled)
-    centered = y - y.mean()
-    std = float(np.sqrt(np.mean(centered**2)))
-    if std == 0.0:
+    stats = path_stats(np.concatenate(pooled), 0)
+    if stats.degenerate:
         return 0.0, 0.0
-    return (
-        float(np.mean(centered**3)) / std**3,
-        float(np.mean(centered**4)) / std**4,
-    )
+    return stats.skewness, stats.kurtosis
 
 
 def _model_stats(
@@ -250,8 +236,7 @@ def _build_model(
     a = math.exp(t3)
     baseflow = math.exp(t4)
     nu = TemperedStableLevy(c1=c1, c2=c2)
-    b = (1.0 - d) / levy_moment(nu, 1)
-    return SupCbiModel(A=a, B=b, pi=pi, nu=nu, baseflow=baseflow)
+    return SupCbiModel(A=a, B=_b_from_d(nu, d), pi=pi, nu=nu, baseflow=baseflow)
 
 
 def moment_objective(

@@ -115,15 +115,13 @@ class TemperedStableLevy:
             raise ValueError(f"c2 must be positive, got {self.c2}")
 
     def truncated_moment(self, k: int, eps: float) -> float:
-        """M_k(eps) = integral of z^k nu(dz) over [eps, inf)."""
-        _check_moment_order(k)
+        """M_k(eps) = integral of z^k nu(dz) over [eps, inf); M_k(0) is levy_moment(nu, k)."""
+        full = levy_moment(self, k)
         if eps < 0.0:
             raise ValueError("truncation level must be nonnegative")
-        a = k - self.c1
-        full = math.gamma(a) * self.c2 ** (-a)
         if eps == 0.0:
             return full
-        return full * float(gammaincc(a, self.c2 * eps))
+        return full * float(gammaincc(k - self.c1, self.c2 * eps))
 
     def truncation_bias(self, eps: float) -> float:
         """Dropped first-moment mass: integral of z nu(dz) over (0, eps)."""

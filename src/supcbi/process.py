@@ -65,9 +65,7 @@ class SupCbiModel:
         self.M2 = float(m2) if m2 is not None else levy_moment(nu, 2)
         if not (self.M1 > 0.0 and self.M2 > 0.0 and math.isfinite(self.M1) and math.isfinite(self.M2)):
             raise ValueError("Levy moments must be finite and positive")
-        self.D = 1.0 - self.B * self.M1
-        if self.D <= 0.0:
-            raise ValueError(f"stationarity requires B*M1 < 1, got B*M1 = {self.B * self.M1}")
+        self.D = _d_from_b(self.B, self.M1)
 
     def truncated(self, eps: float) -> "SupCbiModel":
         """Copy of the model with M1, M2 replaced by their eps-truncated values."""
@@ -80,6 +78,19 @@ class SupCbiModel:
             m1=self.nu.truncated_moment(1, eps),
             m2=self.nu.truncated_moment(2, eps),
         )
+
+
+def _b_from_d(nu: TemperedStableLevy, d: float) -> float:
+    """Self-excitation scale B = (1 - D) / M1 that gives the model the rate factor D."""
+    return (1.0 - d) / levy_moment(nu, 1)
+
+
+def _d_from_b(b: float, m1: float) -> float:
+    """Rate factor D = 1 - B*M1 of self-excitation scale B; stationarity needs D > 0."""
+    d = 1.0 - b * m1
+    if d <= 0.0:
+        raise ValueError(f"stationarity requires B*M1 < 1, got B*M1 = {b * m1}")
+    return d
 
 
 def stationary_mean(model: SupCbiModel, lift: MarkovianLift) -> float:
@@ -130,7 +141,6 @@ class SimulatedPath:
     dt: float
     horizon: float
     t: np.ndarray
-    y_components: np.ndarray  # shape (steps, n)
     y_total: np.ndarray
     x: Optional[np.ndarray]
     c_rate: Optional[np.ndarray]
@@ -238,7 +248,7 @@ def simulate(
     k0 = int(math.ceil(burn / dt))
     grid = np.arange(steps) * dt
 
-    y = np.zeros((steps, n))
+    y_total = np.zeros(steps)
     h = rho = None
     if controller is not None:
         h = controller.rho - controller.u
@@ -253,11 +263,12 @@ def simulate(
         w = sizes * np.exp(-r_i * (bins * dt - times))
         binned = np.bincount(bins, weights=w, minlength=steps)
         decay = math.exp(-r_i * dt)
-        yi = y[:, i]
+        yi = np.zeros(steps)
         acc = 0.0
         for k in range(1, steps):
             acc = acc * decay + binned[k]
             yi[k] = acc
+        y_total += yi
         if controller is not None:
             # integral of exp(-h*(t_k - s)) Y_i(s) ds over each step, exact
             g = sizes * _exp_diff(np.full_like(times, r_i), h, bins * dt - times)
@@ -266,7 +277,6 @@ def simulate(
             # forcing from the state at the step start plus within-step jumps
             z_forcing[1:] += yi[:-1] * step_w + gb[1:]
 
-    y_total = y.sum(axis=1)
     x = c_rate = None
     if controller is not None:
         # Z = X - Y_n is continuous: dZ/dt = -h Z + u Y_n; integrate exactly.
@@ -284,7 +294,6 @@ def simulate(
         dt=dt,
         horizon=horizon,
         t=grid[sl] - grid[k0],
-        y_components=y[sl],
         y_total=y_total[sl],
         x=None if x is None else x[sl],
         c_rate=None if c_rate is None else c_rate[sl],
@@ -307,27 +316,35 @@ class PathStats:
 def path_stats(path, max_lag: int = 50) -> PathStats:
     """Sample moments and autocorrelation of a path (or any 1-D series).
 
-    Unbiased mean/variance; skewness and kurtosis as standardized central
-    moments. A constant series is flagged degenerate with NaN shape statistics.
+    With c the deviations from the sample mean and m_k = mean(c^k): the
+    variance is unbiased, sum(c^2) / (N - 1); skewness and kurtosis are the
+    biased standardized moments m3 / m2^1.5 and m4 / m2^2, as
+    scipy.stats.skew and kurtosis(fisher=False) define them; the lag-k
+    autocorrelation is sum(c_t c_(t+k)) / sum(c_t^2). Both sums are numpy's
+    pairwise sums rather than BLAS dot products: the ACF least squares in
+    identification turns a change in their last bit into shifts of about
+    1e-6 in the fitted parameters. A constant series is flagged degenerate
+    with NaN shape statistics and an empty ACF.
     """
     values = path.y_total if isinstance(path, SimulatedPath) else np.asarray(path, dtype=float)
     if values.size < 2:
         raise ValueError("need at least two samples")
     mean = float(values.mean())
-    centered = values - mean
-    var = float(centered.dot(centered) / (values.size - 1))
-    if var == 0.0:
+    c = values - mean
+    c2 = c * c
+    ss = float(c2.sum())
+    if ss == 0.0:
         return PathStats(mean, 0.0, math.nan, math.nan, np.array([]), degenerate=True)
-    m2 = float(np.mean(centered**2))
-    skew = float(np.mean(centered**3)) / m2**1.5
-    kurt = float(np.mean(centered**4)) / m2**2
-    max_lag = min(max_lag, values.size - 1)
-    acov0 = centered.dot(centered) / values.size
+    n = values.size
+    m2 = ss / n
+    skew = float(c2.dot(c)) / n / m2**1.5
+    kurt = float(c2.dot(c2)) / n / m2**2
+    max_lag = min(max_lag, n - 1)
     acf = np.empty(max_lag + 1)
     acf[0] = 1.0
     for k in range(1, max_lag + 1):
-        acf[k] = centered[:-k].dot(centered[k:]) / values.size / acov0
-    return PathStats(mean, var, skew, kurt, acf, degenerate=False)
+        acf[k] = np.sum(c[:-k] * c[k:]) / ss
+    return PathStats(mean, ss / (n - 1), skew, kurt, acf, degenerate=False)
 
 
 def write_path_csv(path: SimulatedPath, out: IO[str]) -> None:

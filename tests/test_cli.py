@@ -65,6 +65,29 @@ class TestLiftCommand:
         cfg = write_cfg(tmp_path, "alpha = 2.0\nDbeta = 0.5\nD = 0.5\nm_min = 3\nm_max = 3\n")
         assert run(["lift", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
 
+    def test_beta_form_ignores_d(self, tmp_path):
+        cfg = write_cfg(tmp_path, "alpha = 2.1\nbeta = 0.5\nD = 1.5\nm_min = 3\nm_max = 3\n")
+        assert run(["lift", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+
+
+# Dbeta and no B: D is the only source of the rate scale
+DBETA_CFG = {
+    "lift": "alpha = 2.1\nDbeta = 0.5\nm_min = 3\nm_max = 3\n",
+    "solve": "A = 0.5\nc1 = 0.4\nc2 = 1.3\nalpha = 2.1\nDbeta = 0.5\nQabs = 0.2\nKbar = 0.01\nm = 2\n",
+}
+
+
+@pytest.mark.parametrize("command", ["lift", "solve"])
+@pytest.mark.parametrize(
+    "d_line, code",
+    # at D = 1e-12, 1 - B*M1 of the B derived from D differs from D by more than 1e-6 relative
+    [("", EXIT_CONFIG), ("D = 1.5\n", EXIT_CONFIG), ("D = 1\n", EXIT_OK), ("D = 1e-12\n", EXIT_OK)],
+    ids=["no-D", "D-above-1", "D-is-1", "D-tiny"],
+)
+def test_dbeta_needs_d_in_unit_interval(tmp_path, command, d_line, code):
+    cfg = write_cfg(tmp_path, DBETA_CFG[command] + d_line)
+    assert run([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == code
+
 
 class TestSolveCommand:
     def test_balanced_zero_abstraction(self, tmp_path):
@@ -86,6 +109,11 @@ class TestSolveCommand:
     def test_inconsistent_b_and_d(self, tmp_path):
         cfg = write_cfg(tmp_path, MODEL_CFG + "D = 0.9\nQabs = 0.1\nKbar = 1.0\n")
         assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_nonstationary_b_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MODEL_CFG.replace("B = 0.3", "B = 10.0") + "Qabs = 0.1\nKbar = 1.0\n")
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "stationarity" in capsys.readouterr().err
 
     def test_water_abstracting_output(self, tmp_path):
         cfg = write_cfg(tmp_path, MODEL_CFG + "Qabs = 0.2\nKbar = 0.01\nm = 2\nPbar = 1.0\n")

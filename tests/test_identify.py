@@ -16,7 +16,7 @@ from supcbi.identify import (
 )
 from supcbi.lift import build_lift
 from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
-from supcbi.process import SupCbiModel
+from supcbi.process import SupCbiModel, path_stats
 
 
 def synthetic_series(mean, variance, n=2000, seed=0):
@@ -140,6 +140,17 @@ class TestFitMoments:
         series = synthetic_series(9.029, 403.9, seed=3)
         report = fit_moments(series, alpha=2.329, beta=3.149e-2 / 0.5)
         assert report.E == pytest.approx(sum(report.term_errors.values()), abs=1e-14)
+
+    def test_empirical_statistics_are_path_stats(self):
+        series = synthetic_series(9.029, 403.9, seed=3)
+        report = fit_moments(series, alpha=2.329, beta=3.149e-2 / 0.5, restarts=1)
+        stats = path_stats(series.values)
+        assert report.empirical == {
+            "Average": stats.mean,
+            "Variance": stats.variance,
+            "Skewness": stats.skewness,
+            "Kurtosis": stats.kurtosis,
+        }
 
     def test_zero_variance_rejected(self):
         series = DischargeSeries(dt=1.0, values=np.full(200, 3.0))

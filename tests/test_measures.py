@@ -120,6 +120,8 @@ class TestTemperedStableLevy:
                     lambda z: z**k * math.exp(-nu.c2 * z) * z ** (-(1.0 + c1)), eps, np.inf
                 )
                 assert nu.truncated_moment(k, eps) == pytest.approx(num, rel=1e-9)
+        for k in (1, 2, 3, 4):
+            assert nu.truncated_moment(k, 0.0) == levy_moment(nu, k)
 
     @pytest.mark.parametrize("c1", [-0.5, 0.0, 0.3, 0.772])
     def test_tail_mass_against_quadrature(self, c1):

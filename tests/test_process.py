@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats as sps
 
 from supcbi.lift import build_lift
 from supcbi.measures import GammaMixingMeasure, TemperedStableLevy
@@ -177,6 +177,18 @@ class TestPathStats:
         assert stats.variance == pytest.approx(5.0 / 3.0)
         assert stats.skewness == pytest.approx(0.0, abs=1e-14)
         assert not stats.degenerate
+
+    def test_skewed_series_matches_scipy(self):
+        # N = 5 tells the biased standardization (scipy's) from the unbiased-std
+        # one by the factors (5/4)^1.5 and (5/4)^2
+        values = np.array([0.0, 1.0, 1.0, 2.0, 7.0])
+        stats = path_stats(values, 3)
+        assert stats.variance == pytest.approx(np.var(values, ddof=1), rel=1e-14)
+        assert stats.skewness == pytest.approx(sps.skew(values), rel=1e-14)
+        assert stats.kurtosis == pytest.approx(sps.kurtosis(values, fisher=False), rel=1e-14)
+        c = values - values.mean()
+        expected_acf = [c[: c.size - k] @ c[k:] / (c @ c) for k in range(4)]
+        assert stats.acf == pytest.approx(expected_acf, rel=1e-14)
 
     def test_degenerate_series(self):
         stats = path_stats(np.ones(10))
