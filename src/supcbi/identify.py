@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from typing import IO
 
 import numpy as np
@@ -60,7 +60,10 @@ class DischargeSeries:
 
 
 def read_series_csv(inp: IO[str]) -> DischargeSeries:
-    """Parse `timestamp,discharge_m3s` rows; timestamps are hours or ISO dates."""
+    """Parse `timestamp,discharge_m3s` rows; timestamps are hours or ISO dates.
+
+    ISO timestamps without an offset are read as UTC; those with one keep it.
+    """
     header = inp.readline().strip()
     if header != "timestamp,discharge_m3s":
         raise ValueError(f"expected header 'timestamp,discharge_m3s', got {header!r}")
@@ -78,9 +81,13 @@ def read_series_csv(inp: IO[str]) -> DischargeSeries:
             t = float(stamp)
         except ValueError:
             try:
-                t = datetime.fromisoformat(stamp).timestamp() / 3600.0
+                moment = datetime.fromisoformat(stamp)
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: unparseable timestamp {stamp!r}") from exc
+            if moment.tzinfo is None:
+                # naive stamps are UTC, so the host time zone cannot make them non-uniform
+                moment = moment.replace(tzinfo=timezone.utc)
+            t = moment.timestamp() / 3600.0
         times.append(t)
         values.append(float(value))
     if len(times) < 2:

@@ -2,9 +2,10 @@
 
 Stationary moments and autocorrelation in closed form, plus an exact
 event-driven Monte Carlo simulator of the lifted system with optional static
-feedback control. Small jumps below a truncation level eps are dropped; all
-closed-form comparisons against simulation use the eps-truncated moments so
-the truncation bias cancels.
+feedback control. Self-exciting (B > 0) jumps are drawn from the cluster
+representation, one generation of children at a time. Small jumps below a
+truncation level eps are dropped; all closed-form comparisons against
+simulation use the eps-truncated moments so the truncation bias cancels.
 """
 
 from __future__ import annotations
@@ -160,10 +161,14 @@ def _component_events(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jump times and sizes of one lifted component on [0, horizon].
 
-    B = 0 is a homogeneous Poisson stream. B > 0 uses thinning with a
-    piecewise-constant majorant refreshed at every proposal: the intensity
-    decays between jumps, so the left-limit state bounds it until the next
-    accepted jump.
+    B = 0 is a homogeneous Poisson stream. B > 0 uses the cluster (branching)
+    representation of the self-exciting intensity (c_i A + r_i B Y_i) nubar
+    (Hawkes and Oakes 1974): immigrants form a Poisson stream at rate
+    c_i A nubar, and each jump of size z has Poisson(B z nubar) children at
+    Exp(r_i) delays. One generation is drawn at a time; children past the
+    horizon are dropped with their descendants, which would come later still.
+    The mean number of children per jump is B M1(eps) = 1 - D_eps < 1, so the
+    generations die out.
     """
     if model.B == 0.0:
         rate = c_i * model.A * nubar
@@ -171,26 +176,16 @@ def _component_events(
         times = np.sort(rng.uniform(0.0, horizon, size=n_jumps))
         sizes = model.nu.sample_truncated(eps, n_jumps, rng)
         return times, sizes
-    times_list: list[float] = []
-    sizes_list: list[float] = []
-    t = 0.0
-    t_state = 0.0
-    y = 0.0
-    base = c_i * model.A
-    while True:
-        lam_bar = (base + r_i * model.B * y) * nubar
-        t += rng.exponential(1.0 / lam_bar)
-        if t > horizon:
-            break
-        y = y * math.exp(-r_i * (t - t_state))  # decayed left limit
-        t_state = t
-        lam = (base + r_i * model.B * y) * nubar
-        if rng.uniform() < lam / lam_bar:
-            z = float(model.nu.sample_truncated(eps, 1, rng)[0])
-            y += z
-            times_list.append(t)
-            sizes_list.append(z)
-    return np.array(times_list), np.array(sizes_list)
+    times = rng.uniform(0.0, horizon, size=rng.poisson(c_i * model.A * nubar * horizon))
+    all_times, all_sizes = [np.empty(0)], [np.empty(0)]
+    while times.size:
+        sizes = model.nu.sample_truncated(eps, times.size, rng)
+        all_times.append(times)
+        all_sizes.append(sizes)
+        kids = rng.poisson(model.B * nubar * sizes)
+        times = np.repeat(times, kids) + rng.exponential(1.0 / r_i, size=int(kids.sum()))
+        times = times[times <= horizon]
+    return np.concatenate(all_times), np.concatenate(all_sizes)
 
 
 def _exp_diff(a: np.ndarray, b: float, delta: np.ndarray) -> np.ndarray:
@@ -349,8 +344,12 @@ def path_stats(path, max_lag: int = 50) -> PathStats:
 
 def write_path_csv(path: SimulatedPath, out: IO[str]) -> None:
     """CSV export, fixed column order; x and c_rate empty when uncontrolled."""
-    out.write("t,y_total,x,c_rate\n")
-    for k in range(path.t.size):
-        x = f"{path.x[k]:.17g}" if path.x is not None else ""
-        c = f"{path.c_rate[k]:.17g}" if path.c_rate is not None else ""
-        out.write(f"{path.t[k]:.17g},{path.y_total[k]:.17g},{x},{c}\n")
+    t, y = path.t.tolist(), path.y_total.tolist()
+    if path.x is None:
+        rows = [f"{tk:.17g},{yk:.17g},,\n" for tk, yk in zip(t, y)]
+    else:
+        rows = [
+            f"{tk:.17g},{yk:.17g},{xk:.17g},{ck:.17g}\n"
+            for tk, yk, xk, ck in zip(t, y, path.x.tolist(), path.c_rate.tolist())
+        ]
+    out.write("t,y_total,x,c_rate\n" + "".join(rows))

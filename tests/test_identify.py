@@ -1,5 +1,8 @@
 import io
 import math
+import time
+from datetime import datetime, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -46,6 +49,27 @@ class TestSeries:
         series = read_series_csv(io.StringIO(text))
         assert series.dt == 1.0
         assert series.values.size == 150
+
+    def test_csv_iso_stamps_ignore_host_time_zone(self, monkeypatch):
+        # 120 hourly rows across the 2021-03-28 daylight saving switch in Berlin:
+        # naive stamps are read as UTC, stamps with an offset keep it
+        start = datetime(2021, 3, 26, 12, tzinfo=timezone.utc)
+        hours = [start + timedelta(hours=k) for k in range(120)]
+        naive = [h.replace(tzinfo=None).isoformat() for h in hours]
+        berlin = [h.astimezone(ZoneInfo("Europe/Berlin")).isoformat() for h in hours]
+        assert berlin[0].endswith("+01:00") and berlin[-1].endswith("+02:00")
+        monkeypatch.setenv("TZ", "Europe/Berlin")
+        time.tzset()
+        try:
+            assert time.localtime(1625140800).tm_isdst == 1  # the zone took effect
+            for stamps in (naive, berlin):
+                text = "timestamp,discharge_m3s\n" + "".join(f"{st},1.5\n" for st in stamps)
+                series = read_series_csv(io.StringIO(text))
+                assert series.dt == 1.0
+                assert series.values.size == 120
+        finally:
+            monkeypatch.undo()
+            time.tzset()
 
     def test_csv_bad_header(self):
         with pytest.raises(ValueError, match="header"):

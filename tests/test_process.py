@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from supcbi.lift import build_lift
 from supcbi.measures import GammaMixingMeasure, TemperedStableLevy
 from supcbi.process import (
     Controller,
+    _component_events,
     SupCbiModel,
     acf_gamma,
     acf_lift,
@@ -126,6 +128,49 @@ class TestSimulate:
             means[rep] = p.y_total.mean()
         se = means.std(ddof=1) / math.sqrt(reps)
         assert abs(means.mean() - stationary_mean(trunc, lift)) < 3.0 * se
+
+    def test_self_exciting_case_variance(self):
+        model = small_model(B=0.4, A=0.5)
+        lift = build_lift(model.pi, 1)
+        eps = 1e-3
+        reps = 16
+        variances = np.empty(reps)
+        for rep in range(reps):
+            p = simulate(model, lift, horizon=1200.0, dt=0.5, eps=eps, seed=19, replicate=rep)
+            variances[rep] = path_stats(p, 0).variance
+        se = variances.std(ddof=1) / math.sqrt(reps)
+        exact = stationary_variance(model.truncated(eps), lift)
+        assert abs(variances.mean() - exact) < 3.0 * se
+
+    def test_self_exciting_event_count(self):
+        # from Y_i(0) = 0 the intensity (c A + r B Y_i) nubar has mean
+        # nubar c A (1 - (1 - D) exp(-r D t)) / D with D = 1 - B M1(eps),
+        # whose integral over [0, T] is the exact mean count
+        model = small_model(B=0.4, A=0.5)
+        eps, c_i, r_i, horizon = 1e-2, 0.7, 0.3, 20.0
+        nubar = model.nu.tail_mass(eps)
+        d = model.truncated(eps).D
+        exact = nubar * c_i * model.A * (
+            horizon / d - (1.0 - d) * (1.0 - math.exp(-r_i * d * horizon)) / (d**2 * r_i)
+        )
+        rng = np.random.default_rng(41)
+        counts = np.empty(400)
+        for rep in range(counts.size):
+            times, sizes = _component_events(model, c_i, r_i, nubar, eps, horizon, rng)
+            assert times.size == sizes.size
+            assert np.all((times >= 0.0) & (times <= horizon))
+            assert np.all(sizes >= eps)
+            counts[rep] = times.size
+        se = counts.std(ddof=1) / math.sqrt(counts.size)
+        assert abs(counts.mean() - exact) < 3.0 * se
+
+    def test_self_exciting_without_immigration_is_zero(self):
+        model = small_model(B=0.4, A=0.0)
+        lift = build_lift(model.pi, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = simulate(model, lift, horizon=50.0, dt=0.5, eps=1e-2, seed=2)
+        assert not np.any(p.y_total)
 
     def test_controlled_path_satisfies_flow_balance(self):
         # c = -h X + rho Y must hold identically on the recorded grid
