@@ -399,6 +399,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     seed = _override(args.seed, config, "seed", 0)
     n_states = _get_int(config, "states", 100)
     n_draws = _get_int(config, "draws", 20)
+    if n_states < 1 or n_draws < 1:
+        raise ConfigError(f"states and draws must be at least 1, got {n_states} and {n_draws}")
     perturb = _parse_perturb(config["perturb"]) if "perturb" in config else None
     rng = np.random.default_rng(seed)
     lines: list[str] = []

@@ -337,7 +337,7 @@ def variance_bke_coefficients(
     a0 = (q - p * D) / pd1 / h
     a[0, 1:] = a0
     a[1:, 0] = a0
-    pi_, pj_ = np.meshgrid(p, p, indexing="ij")
+    pi_, pj_ = p[:, None], p[None, :]
     a[1:, 1:] = (
         (q - pi_ * D) * (q - pj_ * D) / ((pi_ + pj_) * D)
         * (1.0 / (pj_ * D + 1.0) + 1.0 / (pi_ * D + 1.0))
@@ -381,7 +381,7 @@ def cost_bke_coefficients(
     a0 = -(q + p * D) / pd1 / h
     a[0, 1:] = a0
     a[1:, 0] = a0
-    pi_, pj_ = np.meshgrid(p, p, indexing="ij")
+    pi_, pj_ = p[:, None], p[None, :]
     pdi = pi_ * D + 1.0
     pdj = pj_ * D + 1.0
     a[1:, 1:] = (
@@ -443,31 +443,32 @@ def _bke_residual(
 ) -> float:
     """Max relative residual of the stationary BKE over the sample states.
 
-    The jump integral of the quadratic ansatz is evaluated exactly through the
-    first and second Levy moments. The residual is scaled by the largest term
-    magnitude at each state.
+    The states, one (x, y_1..y_n) per row or a single 1-D state, are evaluated
+    as one batch. The jump integral of the quadratic ansatz is evaluated exactly
+    through the first and second Levy moments. The residual is scaled by the
+    largest term magnitude at each state. `running_cost(x, ys)` takes the
+    column x and the (S, n) block ys.
     """
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    if states.shape[0] == 0:
+        raise ValueError("BKE residual needs at least one state")
     rho = q * h
     r = lift.r
     a, b, const = ansatz.a, ansatz.b, ansatz.constant
-    worst = 0.0
-    for y in np.atleast_2d(states):
-        grad = a @ y + b
-        run = running_cost(y)
-        drift = (-h * y[0] + float(np.sum((rho - r) * y[1:]))) * grad[0]
-        decay = -float(np.sum(r * y[1:] * grad[1:]))
-        diag = a[0, 0] + 2.0 * a[0, 1:] + np.diagonal(a)[1:]
-        lin = (a[0:1, :] + a[1:, :]) @ y  # per-component sum over k of (a_0k + a_ik) y_k
-        jump_per_comp = (
-            0.5 * model.M2 * diag + model.M1 * lin + model.M1 * (b[0] + b[1:])
-        )
-        intensity = lift.c * model.A + r * model.B * y[1:]
-        jump = float(np.sum(intensity * jump_per_comp))
-        terms = np.array([const, run, drift, decay, jump])
-        residual = -const + run + drift + decay + jump
-        scale = max(np.max(np.abs(terms)), 1e-300)
-        worst = max(worst, abs(residual) / scale)
-    return worst
+    x, ys = states[:, 0], states[:, 1:]
+    grad = states @ a + b  # a is symmetric
+    run = running_cost(x, ys)
+    drift = (-h * x + ys @ (rho - r)) * grad[:, 0]
+    decay = -(ys * grad[:, 1:]) @ r
+    diag = a[0, 0] + 2.0 * a[0, 1:] + np.diagonal(a)[1:]
+    lin = states @ (a[0:1] + a[1:]).T  # per-component sum over k of (a_0k + a_ik) y_k
+    jump_per_comp = 0.5 * model.M2 * diag + model.M1 * lin + model.M1 * (b[0] + b[1:])
+    intensity = lift.c * model.A + r * model.B * ys
+    jump = np.sum(intensity * jump_per_comp, axis=1)
+    terms = np.abs([np.full_like(x, const), run, drift, decay, jump])
+    residual = -const + run + drift + decay + jump
+    scale = np.maximum(terms.max(axis=0), 1e-300)
+    return float(np.max(np.abs(residual) / scale))
 
 
 def bke_residual_J(
@@ -488,7 +489,7 @@ def bke_residual_J(
         xhat = q * stationary_mean(model, lift)
     ansatz = _apply_perturbation(variance_bke_coefficients(model, lift, q, h, xhat), perturb)
     return _bke_residual(
-        model, lift, q, h, ansatz, states, lambda y: (y[0] - xhat) ** 2
+        model, lift, q, h, ansatz, states, lambda x, ys: (x - xhat) ** 2
     )
 
 
@@ -504,7 +505,7 @@ def bke_residual_K(
     ansatz = _apply_perturbation(cost_bke_coefficients(model, lift, q, h), perturb)
     return _bke_residual(
         model, lift, q, h, ansatz, states,
-        lambda y: (y[0] - q * float(np.sum(y[1:]))) ** 2,
+        lambda x, ys: (x - q * np.sum(ys, axis=1)) ** 2,
     )
 
 

@@ -13,6 +13,7 @@ the biased standardized skewness and kurtosis.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -59,44 +60,48 @@ class DischargeSeries:
         object.__setattr__(self, "values", values)
 
 
+def _iso_hours(stamp: str) -> float:
+    """Hours since the epoch of an ISO timestamp; naive stamps are UTC."""
+    moment = datetime.fromisoformat(stamp.strip())
+    if moment.tzinfo is None:
+        # naive stamps are UTC, so the host time zone cannot make them non-uniform
+        moment = moment.replace(tzinfo=timezone.utc)
+    return moment.timestamp() / 3600.0
+
+
 def read_series_csv(inp: IO[str]) -> DischargeSeries:
     """Parse `timestamp,discharge_m3s` rows; timestamps are hours or ISO dates.
 
-    ISO timestamps without an offset are read as UTC; those with one keep it.
+    Blank lines are skipped. The first row sets the form of every timestamp:
+    hours if its stamp is a number, ISO otherwise. ISO timestamps without an
+    offset are read as UTC; those with one keep it.
     """
     header = inp.readline().strip()
     if header != "timestamp,discharge_m3s":
         raise ValueError(f"expected header 'timestamp,discharge_m3s', got {header!r}")
-    times: list[float] = []
-    values: list[float] = []
-    for line_no, line in enumerate(inp, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"line {line_no}: expected two fields, got {len(parts)}")
-        stamp, value = parts
-        try:
-            t = float(stamp)
-        except ValueError:
-            try:
-                moment = datetime.fromisoformat(stamp)
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: unparseable timestamp {stamp!r}") from exc
-            if moment.tzinfo is None:
-                # naive stamps are UTC, so the host time zone cannot make them non-uniform
-                moment = moment.replace(tzinfo=timezone.utc)
-            t = moment.timestamp() / 3600.0
-        times.append(t)
-        values.append(float(value))
-    if len(times) < 2:
+    rows = itertools.filterfalse(str.isspace, inp)
+    first = next(rows, None)
+    if first is None:
         raise ValueError("series needs at least two rows")
-    steps = np.diff(np.asarray(times))
+    try:
+        float(first.split(",", 1)[0])
+        converters = None
+    except ValueError:
+        converters = {0: _iso_hours}
+    data = np.loadtxt(
+        itertools.chain([first], rows), delimiter=",", comments=None, ndmin=2,
+        converters=converters,
+    )
+    if data.shape[1] != 2:
+        raise ValueError(f"expected two fields per row, got {data.shape[1]}")
+    if data.shape[0] < 2:
+        raise ValueError("series needs at least two rows")
+    steps = np.diff(data[:, 0])
     dt = float(steps[0])
     if dt <= 0.0 or np.any(np.abs(steps - dt) > 1e-6 * max(abs(dt), 1.0)):
         raise ValueError("timestamps must be uniformly spaced and increasing")
-    return DischargeSeries(dt=dt, values=np.asarray(values))
+    # a contiguous copy, so the series does not keep the timestamp column alive
+    return DischargeSeries(dt=dt, values=np.ascontiguousarray(data[:, 1]))
 
 
 def empirical_acf(series: DischargeSeries, max_lag: int) -> np.ndarray:

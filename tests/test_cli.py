@@ -261,6 +261,16 @@ class TestVerifyCommand:
         report = (tmp_path / "verify.txt").read_text()
         assert "FAIL" in report
 
+    @pytest.mark.parametrize("counts", ["states = 0\ndraws = 4\n", "states = 20\ndraws = 0\n"])
+    @pytest.mark.parametrize("perturb", ["", "perturb = a,0,0,1.01\n"])
+    def test_empty_state_set_rejected(self, tmp_path, capsys, counts, perturb):
+        # with no states the residual check would pass without looking at the ansatz
+        text = self.CFG.replace("states = 20\ndraws = 4\n", counts) + perturb
+        cfg = write_cfg(tmp_path, text)
+        assert run(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "verify.txt").exists()
+
 
 def test_import_does_not_load_scipy_signal():
     # scipy.signal would add most of a second to every cold CLI start

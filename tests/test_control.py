@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -8,9 +9,11 @@ from scipy import integrate
 from supcbi.control import (
     ControlProblem,
     InfeasibleProblem,
+    _apply_perturbation,
     bke_residual_J,
     bke_residual_K,
     continuum_J_K_P,
+    cost_bke_coefficients,
     eval_J,
     eval_K,
     eval_P,
@@ -20,6 +23,7 @@ from supcbi.control import (
     solve_hbar,
     solve_pbar_h,
     sweep,
+    variance_bke_coefficients,
     write_sweep_csv,
 )
 from supcbi.lift import build_lift
@@ -241,6 +245,93 @@ class TestBkeResiduals:
         assert bke_residual_J(model, lift, q, h, states, perturb=("a", 0, 0, 1.01)) > 1e-4
         assert bke_residual_K(model, lift, q, h, states, perturb=("b", 1, 0, 1.01)) > 1e-4
         assert bke_residual_J(model, lift, q, h, states, perturb=("const", 0, 0, 1.01)) > 1e-4
+
+    def test_empty_state_set_rejected(self, model_lift):
+        model, lift = model_lift
+        states = np.empty((0, lift.n + 1))
+        with pytest.raises(ValueError, match="at least one state"):
+            bke_residual_J(model, lift, 0.5, 0.1, states)
+        with pytest.raises(ValueError, match="at least one state"):
+            bke_residual_K(model, lift, 0.5, 0.1, states)
+
+    def test_single_state_is_a_batch_of_one(self, model_lift):
+        model, lift = model_lift
+        y = np.random.default_rng(6).uniform(0.0, 3.0, size=lift.n + 1)
+        for fn in (bke_residual_J, bke_residual_K):
+            for perturb in (None, ("a", 0, 1, 1.01)):
+                one = fn(model, lift, 0.5, 0.1, y, perturb=perturb)
+                assert one == fn(model, lift, 0.5, 0.1, y[None, :], perturb=perturb)
+
+    def test_batch_matches_per_state_reference(self):
+        # every c1 branch, B = 0 and B > 0, m = 0..4, with and without a perturbed coefficient
+        rng = np.random.default_rng(23)
+        perturbs = [None, ("a", 0, 0, 1.01), ("a", 0, 1, 0.99), ("a", 1, 1, 1.02),
+                    ("b", 0, 0, 1.01), ("b", 1, 0, 0.98), ("const", 0, 0, 1.01)]
+        cases = itertools.product((0.4, 0.0, -0.7), (False, True), perturbs)
+        for trial, (c1, self_exciting, perturb) in enumerate(cases):
+            model = make_model(B=0.0, alpha=rng.uniform(1.2, 6.0), beta=rng.uniform(0.1, 2.0),
+                               c1=c1, c2=rng.uniform(0.5, 3.0))
+            if self_exciting:
+                model = make_model(B=rng.uniform(0.1, 0.9) / model.M1, alpha=model.pi.alpha,
+                                   beta=model.pi.beta, c1=c1, c2=model.nu.c2)
+            lift = build_lift(model.pi, trial % 5)
+            q, h = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.05, 3.0))
+            xhat = q * stationary_mean(model, lift)
+            states = rng.uniform(0.0, 5.0, size=(30, lift.n + 1))
+            ansatz = _apply_perturbation(variance_bke_coefficients(model, lift, q, h, xhat), perturb)
+            ref = _reference_residual(model, lift, q, h, ansatz, states, lambda y: (y[0] - xhat) ** 2)
+            got = bke_residual_J(model, lift, q, h, states, perturb=perturb)
+            assert got == pytest.approx(ref, rel=0.0, abs=1e-12)
+            ansatz = _apply_perturbation(cost_bke_coefficients(model, lift, q, h), perturb)
+            ref = _reference_residual(
+                model, lift, q, h, ansatz, states, lambda y: (y[0] - q * float(np.sum(y[1:]))) ** 2)
+            got = bke_residual_K(model, lift, q, h, states, perturb=perturb)
+            assert got == pytest.approx(ref, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [0, 3, 7])
+    def test_coefficients_match_meshgrid_transcription(self, m):
+        model = make_model()
+        lift = build_lift(model.pi, m)
+        q, h, D = 0.7, 0.45, model.D
+        pi_, pj_ = np.meshgrid(lift.r / h, lift.r / h, indexing="ij")
+        var_block = (
+            (q - pi_ * D) * (q - pj_ * D) / ((pi_ + pj_) * D)
+            * (1.0 / (pj_ * D + 1.0) + 1.0 / (pi_ * D + 1.0))
+            / h
+        )
+        pdi, pdj = pi_ * D + 1.0, pj_ * D + 1.0
+        cost_block = (
+            1.0 / ((pi_ + pj_) * D)
+            * (-(q - pi_ * D) * (q + pj_ * D) / pdj - (q - pj_ * D) * (q + pi_ * D) / pdi + 2.0 * q * q)
+            / h
+        )
+        var = variance_bke_coefficients(model, lift, q, h, 1.3)
+        cost = cost_bke_coefficients(model, lift, q, h)
+        assert np.array_equal(var.a[1:, 1:], var_block)
+        assert np.array_equal(cost.a[1:, 1:], cost_block)
+
+
+def _reference_residual(model, lift, q, h, ansatz, states, running_cost):
+    """The BKE residual evaluated one state at a time (running_cost takes one state)."""
+    rho = q * h
+    r = lift.r
+    a, b, const = ansatz.a, ansatz.b, ansatz.constant
+    worst = 0.0
+    for y in np.atleast_2d(states):
+        grad = a @ y + b
+        run = running_cost(y)
+        drift = (-h * y[0] + float(np.sum((rho - r) * y[1:]))) * grad[0]
+        decay = -float(np.sum(r * y[1:] * grad[1:]))
+        diag = a[0, 0] + 2.0 * a[0, 1:] + np.diagonal(a)[1:]
+        lin = (a[0:1, :] + a[1:, :]) @ y
+        jump_per_comp = 0.5 * model.M2 * diag + model.M1 * lin + model.M1 * (b[0] + b[1:])
+        intensity = lift.c * model.A + r * model.B * y[1:]
+        jump = float(np.sum(intensity * jump_per_comp))
+        terms = np.array([const, run, drift, decay, jump])
+        residual = -const + run + drift + decay + jump
+        scale = max(np.max(np.abs(terms)), 1e-300)
+        worst = max(worst, abs(residual) / scale)
+    return worst
 
 
 def _quadrature_J_K_P(model, q, h):

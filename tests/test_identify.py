@@ -75,6 +75,37 @@ class TestSeries:
         with pytest.raises(ValueError, match="header"):
             read_series_csv(io.StringIO("time,flow\n0,1\n1,2\n"))
 
+    def test_csv_skips_blank_and_whitespace_lines(self):
+        text = "timestamp,discharge_m3s\n\n0,1.5\n   \n\t\n1, 2.5 \n \r\n2,3.5\n\n" + "".join(
+            f"{k},1\n" for k in range(3, 120))
+        series = read_series_csv(io.StringIO(text))
+        assert series.dt == 1.0
+        assert series.values[:3].tolist() == [1.5, 2.5, 3.5]
+        assert series.values.size == 120
+
+    @pytest.mark.parametrize("row", ["1,2,3", "1", "1,x", "1,", "x,1", "2021-01-01T00:00,1"])
+    def test_csv_malformed_row(self, row):
+        text = "timestamp,discharge_m3s\n0,1\n" + row + "\n2,1\n"
+        with pytest.raises(ValueError):
+            read_series_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("text", ["", "\n  \n", "0,1\n", "0,1,2\n1,2,3\n", "0\n1\n"])
+    def test_csv_too_few_rows_or_fields(self, text):
+        with pytest.raises(ValueError, match="two"):
+            read_series_csv(io.StringIO("timestamp,discharge_m3s\n" + text))
+
+    def test_csv_values_bit_identical_to_float(self):
+        rng = np.random.default_rng(31)
+        raw = np.concatenate([rng.lognormal(0.0, 3.0, 400), rng.uniform(0.0, 1e-3, 100)])
+        raw = raw.tolist()
+        cells = [f"{v:.17g}" for v in raw[:250]] + [f"{v:.9g}" for v in raw[250:400]]
+        cells += [repr(v) for v in raw[400:]] + ["0", "1e-310", "12345678901234567890", "0.1"]
+        text = "timestamp,discharge_m3s\n" + "".join(
+            f"{0.25 * k!r},{cell}\n" for k, cell in enumerate(cells))
+        series = read_series_csv(io.StringIO(text))
+        assert series.dt == 0.25
+        assert series.values.tobytes() == np.array([float(c) for c in cells]).tobytes()
+
     def test_csv_non_uniform_spacing(self):
         text = "timestamp,discharge_m3s\n0,1\n1,1\n3,1\n"
         with pytest.raises(ValueError, match="uniform"):
