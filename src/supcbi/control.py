@@ -5,6 +5,10 @@ flow-modification variance P as functions of q = rho/(rho-u) and h = rho - u;
 the constrained minimizer (Balanced / Water Adding / Water Abstracting cases,
 with an optional variability bound); and residual certification of the
 quadratic backward-Kolmogorov-equation solutions the formulas rest on.
+
+The controller is closed form except for one scalar, hbar. The cost root
+K(h) = Kbar is found by Picard iteration, the variability root P(h) = Pbar
+by Brent's method (scipy.optimize.brentq) on a doubled bracket.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from typing import IO, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.special import hyperu
 
 from .lift import MarkovianLift, lift_inv_mean
@@ -42,6 +46,9 @@ __all__ = [
     "bke_residual_K",
     "continuum_J_K_P",
 ]
+
+
+_REL_TOL = 1e-12  # relative tolerance of both control roots
 
 
 class InfeasibleProblem(ValueError):
@@ -143,11 +150,12 @@ def p_bounds(model: SupCbiModel, lift: MarkovianLift, q: float) -> tuple[float, 
     return (q - 1.0) ** 2 * mean**2, (q - 1.0) ** 2 * (mean**2 + var)
 
 
-def _bracket_bisect(f, target: float, hi: float, rel_tol: float) -> float | None:
-    """Root of an increasing f at target: double hi until f(hi) > target, then bisect [0, hi].
+def _bracket_root(f, target: float, hi: float) -> float | None:
+    """Root of an increasing f at target, with f(0) <= target: Brent's method on [0, hi].
 
-    Bisection stops once the bracket is within rel_tol * hi; None when 200
-    doublings do not bracket the root.
+    hi is doubled until f(hi) > target; None when 200 doublings do not
+    bracket the root. The absolute tolerance is negligible, so the root is
+    found to _REL_TOL relative however small it is.
     """
     for _ in range(200):
         if f(hi) > target:
@@ -155,65 +163,42 @@ def _bracket_bisect(f, target: float, hi: float, rel_tol: float) -> float | None
         hi *= 2.0
     else:
         return None
-    lo = 0.0
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * hi:
-            break
-    return 0.5 * (lo + hi)
+    return optimize.brentq(lambda h: f(h) - target, 0.0, hi, xtol=1e-300, rtol=_REL_TOL)
 
 
 def solve_hbar(
-    model: SupCbiModel,
-    lift: MarkovianLift,
-    q: float,
-    kbar: float,
-    method: str = "picard",
-    rel_tol: float = 1e-12,
-    max_iter: int = 200,
+    model: SupCbiModel, lift: MarkovianLift, q: float, kbar: float, method: str = "picard"
 ) -> float:
     """Unique positive root of K(h) = kbar for q != 1.
 
-    Picard iteration h <- sqrt(kbar / ((1-q)^2 Var * S(h))) with a
-    monotone-bisection fallback; K is strictly increasing so the root exists
-    and is unique.
+    K(h) = h^2 (1-q)^2 Var * S(h) is strictly increasing. "picard" iterates
+    h <- sqrt(kbar / ((1-q)^2 Var * S(h))) from the root's lower bound
+    sqrt(kbar / ((1-q)^2 Var)) (S <= 1); the map contracts in log h by a
+    factor below 1/2, as S has elasticity in (0, 1). "bisect" applies Brent's
+    method to K(h) = kbar, independently of the Picard map.
     """
     if q <= 0.0 or q == 1.0:
         raise ValueError("root solving needs q > 0 and q != 1")
     if kbar <= 0.0:
         raise ValueError("kbar must be positive")
-    var = stationary_variance(model, lift)
-    scale = (1.0 - q) ** 2 * var
-
-    def picard_map(h: float) -> float:
-        return math.sqrt(kbar / (scale * _cost_sum(model, lift, h)))
-
-    if method == "picard":
-        h = math.sqrt(kbar / scale)  # large-h asymptote as the starting point
-        for _ in range(max_iter):
-            h_next = picard_map(h)
-            if abs(h_next - h) <= rel_tol * h_next:
-                return h_next
-            h = h_next
-        # fall through to bisection if the iteration stalls
-    elif method != "bisect":
+    if method not in ("picard", "bisect"):
         raise ValueError(f"unknown method {method!r}")
+    scale = (1.0 - q) ** 2 * stationary_variance(model, lift)
+    h = math.sqrt(kbar / scale)
+    if method == "bisect":
+        h = _bracket_root(lambda h: eval_K(model, lift, q, h), kbar, max(h, 1.0))
+        if h is None:
+            raise RuntimeError("failed to bracket the cost root")
+        return h
+    for _ in range(200):
+        h_next = math.sqrt(kbar / (scale * _cost_sum(model, lift, h)))
+        if abs(h_next - h) <= _REL_TOL * h_next:
+            return h_next
+        h = h_next
+    raise RuntimeError("Picard iteration for the cost root did not converge in 200 steps")
 
-    h = _bracket_bisect(
-        lambda h: eval_K(model, lift, q, h), kbar, max(math.sqrt(kbar / scale), 1.0), rel_tol
-    )
-    if h is None:
-        raise RuntimeError("failed to bracket the cost root")
-    return h
 
-
-def solve_pbar_h(
-    model: SupCbiModel, lift: MarkovianLift, q: float, pbar: float, rel_tol: float = 1e-12
-) -> float:
+def solve_pbar_h(model: SupCbiModel, lift: MarkovianLift, q: float, pbar: float) -> float:
     """Root of P(h) = pbar; +inf when pbar is at or above the upper bound."""
     lo_bound, hi_bound = p_bounds(model, lift, q)
     if pbar < lo_bound:
@@ -222,7 +207,7 @@ def solve_pbar_h(
         )
     if pbar >= hi_bound:
         return math.inf
-    h = _bracket_bisect(lambda h: eval_P(model, lift, q, h), pbar, 1.0, rel_tol)
+    h = _bracket_root(lambda h: eval_P(model, lift, q, h), pbar, 1.0)
     return math.inf if h is None else h
 
 

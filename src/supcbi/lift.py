@@ -29,9 +29,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MarkovianLift:
-    """Discretization {r_i, c_i} of the mixing measure with n = 2^m atoms."""
+    """Discretization {r_i, c_i} of the mixing measure with n >= 1 atoms.
 
-    m: int
+    The rates are finite, positive and strictly increasing; the weights are
+    positive and sum to one.
+    """
+
     r: np.ndarray
     c: np.ndarray
 
@@ -42,8 +45,8 @@ class MarkovianLift:
     def __post_init__(self) -> None:
         r = np.asarray(self.r, dtype=float)
         c = np.asarray(self.c, dtype=float)
-        if r.size != c.size or r.size != 2**self.m:
-            raise ValueError("lift needs 2^m rates and as many weights")
+        if r.ndim != 1 or r.size == 0 or c.shape != r.shape:
+            raise ValueError("lift needs one or more rates and as many weights")
         if not np.all(np.isfinite(r)) or not np.all(r > 0.0) or np.any(np.diff(r) <= 0.0):
             raise ValueError("rates must be finite, positive, and strictly increasing")
         if not np.all(c > 0.0) or abs(c.sum() - 1.0) > 1e-14:
@@ -58,7 +61,7 @@ def build_lift(pi: GammaMixingMeasure, m: int) -> MarkovianLift:
         raise ValueError(f"lift resolution m must be nonnegative, got {m}")
     n = 2**m
     levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    return MarkovianLift(m=m, r=pi_quantile(pi, levels), c=np.full(n, 1.0 / n))
+    return MarkovianLift(r=pi_quantile(pi, levels), c=np.full(n, 1.0 / n))
 
 
 def lift_inv_mean(lift: MarkovianLift) -> float:

@@ -1,11 +1,10 @@
 """Mixing and Levy measures: Gamma reversion-rate measure and tempered stable jumps.
 
 The Gamma measure pi(dr) ~ r^(alpha-1) exp(-r/beta) dr supplies the spectrum of
-reversion rates; its distribution function and quantiles are the regularized
-incomplete gamma function and its inverse (scipy.special.gammainc and
-gammaincinv), scaled by beta. The tempered stable measure
-nu(dz) = exp(-c2 z) z^(-(1+c1)) dz drives the jumps; its moments have the
-closed form M_k = Gamma(k - c1) * c2^(c1 - k), and its tails above a
+reversion rates; its quantiles are beta times the inverse regularized lower
+incomplete gamma function (scipy.special.gammaincinv). The tempered stable
+measure nu(dz) = exp(-c2 z) z^(-(1+c1)) dz drives the jumps; its moments have
+the closed form M_k = Gamma(k - c1) * c2^(c1 - k), and its tails above a
 truncation level follow from the upper incomplete gamma function.
 """
 
@@ -15,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1, gammainc, gammaincc, gammaincinv
+from scipy.special import exp1, gammaincc, gammaincinv
 
 __all__ = [
     "GammaMixingMeasure",
@@ -23,28 +22,7 @@ __all__ = [
     "inv_mean",
     "pi_quantile",
     "levy_moment",
-    "reg_lower_gamma",
-    "reg_upper_gamma",
 ]
-
-
-def _check_gamma_args(a: float, x: float) -> None:
-    if a <= 0.0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0.0:
-        raise ValueError("argument must be nonnegative")
-
-
-def reg_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0."""
-    _check_gamma_args(a, x)
-    return float(gammainc(a, x))
-
-
-def reg_upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    _check_gamma_args(a, x)
-    return float(gammaincc(a, x))
 
 
 @dataclass(frozen=True)
@@ -64,19 +42,6 @@ class GammaMixingMeasure:
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be positive, got {self.beta}")
 
-    def cdf(self, r: float) -> float:
-        """Cumulative probability of the reversion rate up to r."""
-        if r <= 0.0:
-            return 0.0
-        return float(gammainc(self.alpha, r / self.beta))
-
-    def pdf(self, r: float) -> float:
-        """Density of the reversion rate at r > 0."""
-        if r <= 0.0:
-            return 0.0
-        a, b = self.alpha, self.beta
-        return math.exp((a - 1.0) * math.log(r) - r / b - a * math.log(b) - math.lgamma(a))
-
 
 def inv_mean(pi: GammaMixingMeasure) -> float:
     """Inverse first moment R = integral of 1/r against pi = 1/(beta*(alpha-1))."""
@@ -84,7 +49,7 @@ def inv_mean(pi: GammaMixingMeasure) -> float:
 
 
 def pi_quantile(pi: GammaMixingMeasure, p: float | np.ndarray) -> float | np.ndarray:
-    """Quantile of the Gamma mixing measure: theta with cdf(theta) = p.
+    """Quantile of the Gamma mixing measure: theta with pi((0, theta]) = p.
 
     p is a probability or an array of them; the result is beta times the
     inverse regularized lower incomplete gamma function of p, a float for a

@@ -28,6 +28,7 @@ __all__ = [
     "stationary_variance",
     "acf_gamma",
     "acf_lift",
+    "grid_mean_variance",
     "simulate",
     "path_stats",
     "write_path_csv",
@@ -120,6 +121,25 @@ def acf_lift(model: SupCbiModel, lift: MarkovianLift, tau: float) -> float:
     return float(np.sum(w * np.exp(-model.D * tau * lift.r)) / np.sum(w))
 
 
+def grid_mean_variance(model: SupCbiModel, lift: MarkovianLift, n: int, dt: float) -> float:
+    """Variance of the mean of n consecutive stationary samples of Y_n spaced dt apart.
+
+    Component i has variance v_i = A*M2*c_i / (2 D^2 r_i) and lag-k
+    autocorrelation rho_i^k with rho_i = exp(-r_i*D*dt), so the variance is
+    sum_i v_i [n (1+rho_i)/(1-rho_i) - 2 rho_i (1-rho_i^n)/(1-rho_i)^2] / n^2.
+    """
+    if n < 1 or dt <= 0.0:
+        raise ValueError("need n >= 1 samples and dt > 0")
+    x = lift.r * model.D * dt
+    rho = np.exp(-x)
+    one_minus_rho = -np.expm1(-x)
+    v = 0.5 * model.A * model.M2 / model.D**2 * lift.c / lift.r
+    pair_sum = (
+        n * (1.0 + rho) / one_minus_rho - 2.0 * rho * -np.expm1(-n * x) / one_minus_rho**2
+    )
+    return float(np.sum(v * pair_sum)) / n**2
+
+
 @dataclass(frozen=True)
 class Controller:
     """Static feedback controller (rho, u) tracking the shifted target xhat."""
@@ -188,17 +208,16 @@ def _component_events(
     return np.concatenate(all_times), np.concatenate(all_sizes)
 
 
-def _exp_diff(a: np.ndarray, b: float, delta: np.ndarray) -> np.ndarray:
-    """(exp(-a*delta) - exp(-b*delta)) / (b - a), stable as a -> b."""
-    a = np.asarray(a, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    diff = b - a
-    out = np.where(
-        np.abs(diff) > 1e-9 * max(abs(b), 1.0),
-        (np.exp(-a * delta) - np.exp(-b * delta)) / np.where(diff == 0.0, 1.0, diff),
-        delta * np.exp(-b * delta),
-    )
-    return out
+def _exp_diff(a: float, b: float, delta):
+    """(exp(-a*delta) - exp(-b*delta)) / (b - a), and its limit delta*exp(-a*delta) at a = b.
+
+    Evaluated as exp(-min(a, b)*delta) * (1 - exp(-|b-a|*delta)) / |b-a| with
+    expm1, which does not cancel as a -> b.
+    """
+    gap = abs(b - a)
+    if gap == 0.0:
+        return delta * np.exp(-a * delta)
+    return np.exp(-min(a, b) * delta) * -np.expm1(-gap * delta) / gap
 
 
 def simulate(
@@ -266,9 +285,9 @@ def simulate(
         y_total += yi
         if controller is not None:
             # integral of exp(-h*(t_k - s)) Y_i(s) ds over each step, exact
-            g = sizes * _exp_diff(np.full_like(times, r_i), h, bins * dt - times)
+            g = sizes * _exp_diff(r_i, h, bins * dt - times)
             gb = np.bincount(bins, weights=g, minlength=steps)
-            step_w = _exp_diff(np.array([r_i]), h, np.array([dt]))[0]
+            step_w = _exp_diff(r_i, h, dt)
             # forcing from the state at the step start plus within-step jumps
             z_forcing[1:] += yi[:-1] * step_w + gb[1:]
 

@@ -10,7 +10,7 @@ import pytest
 from supcbi.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK, main
 from supcbi.lift import MarkovianLift, build_lift
 from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
-from supcbi.process import SupCbiModel, simulate, stationary_mean
+from supcbi.process import SupCbiModel, grid_mean_variance, simulate, stationary_mean
 
 MODEL_CFG = """
 A = 0.5
@@ -218,7 +218,7 @@ class TestIdentifyCommand:
         # alpha ~ 1e7, where the lift of the fitted Gamma measure is very narrow
         pi = GammaMixingMeasure(alpha=2.0, beta=0.05)
         model = SupCbiModel(A=0.8, B=0.0, pi=pi, nu=TemperedStableLevy(c1=0.2, c2=1.0), baseflow=1.0)
-        lift = MarkovianLift(m=0, r=np.array([0.1]), c=np.array([1.0]))
+        lift = MarkovianLift(r=np.array([0.1]), c=np.array([1.0]))
         path = simulate(model, lift, horizon=17520.0, dt=1.0, eps=1e-3, seed=0)
         series_path = tmp_path / "series.csv"
         series_path.write_text(
@@ -254,6 +254,22 @@ class TestVerifyCommand:
         report = (tmp_path / "verify.txt").read_text()
         assert "FAIL" not in report
         assert "truncation bias" in report
+
+    def test_mc_line_uses_exact_standard_error(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.CFG)
+        assert run(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        line = next(
+            line for line in (tmp_path / "verify.txt").read_text().splitlines() if " MC mean " in line
+        )
+        words = line.replace("(", " ").replace(")", " ").split()
+        model = SupCbiModel(
+            A=0.5, B=0.3, pi=GammaMixingMeasure(alpha=2.1, beta=0.8),
+            nu=TemperedStableLevy(c1=0.4, c2=1.3),
+        )
+        lift = build_lift(model.pi, 1)
+        path = simulate(model, lift, horizon=150.0, dt=0.5, eps=0.005, seed=2)
+        var = grid_mean_variance(model.truncated(0.005), lift, path.y_total.size, 0.5)
+        assert float(words[11]) == pytest.approx(3.0 * math.sqrt(var / 8), rel=5e-3)
 
     def test_corrupted_coefficient_fails(self, tmp_path):
         cfg = write_cfg(tmp_path, self.CFG + "perturb = a,0,0,1.01\n")

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings, strategies as st
+from scipy import integrate, stats
 
+from supcbi import control
 from supcbi.control import (
     ControlProblem,
     InfeasibleProblem,
@@ -27,7 +29,7 @@ from supcbi.control import (
     write_sweep_csv,
 )
 from supcbi.lift import build_lift
-from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, inv_mean
+from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, inv_mean, levy_moment
 from supcbi.process import SupCbiModel, stationary_mean, stationary_variance
 
 
@@ -129,6 +131,51 @@ class TestSolvers:
         with pytest.raises(ValueError):
             solve_hbar(model, lift, 1.0, 0.5)
 
+    def test_unknown_method_rejected(self, model_lift):
+        model, lift = model_lift
+        with pytest.raises(ValueError, match="unknown method"):
+            solve_hbar(model, lift, 0.5, 0.5, method="newton")
+
+    def test_picard_does_not_fall_back_to_bisection(self, model_lift, monkeypatch):
+        # a map that never settles must fail loudly, not hand over to another solver
+        model, lift = model_lift
+        values = itertools.cycle([0.5, 1.0])
+        monkeypatch.setattr(control, "_cost_sum", lambda *args: next(values))
+        with pytest.raises(RuntimeError, match="Picard"):
+            solve_hbar(model, lift, 0.5, 0.5)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.floats(1.05, 6.0),
+        beta=st.floats(1e-3, 10.0),
+        c1=st.floats(-0.9, 0.95),
+        c2=st.floats(0.01, 10.0),
+        a=st.floats(1e-3, 10.0),
+        excitation=st.floats(0.0, 0.95),
+        m=st.integers(0, 10),
+        q=st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 5.0)),
+        log_kbar=st.floats(-12.0, 12.0),
+    )
+    def test_picard_contracts_and_agrees_with_bisect(
+        self, alpha, beta, c1, c2, a, excitation, m, q, log_kbar
+    ):
+        # the map contracts in log h by a factor below 1/2 from the root's lower bound
+        nu = TemperedStableLevy(c1=c1, c2=c2)
+        model = SupCbiModel(
+            A=a, B=excitation / levy_moment(nu, 1),
+            pi=GammaMixingMeasure(alpha=alpha, beta=beta), nu=nu,
+        )
+        lift = build_lift(model.pi, m)
+        kbar = 10.0**log_kbar
+        calls = []
+        cost_sum = control._cost_sum
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(control, "_cost_sum", lambda *args: calls.append(args) or cost_sum(*args))
+            hp = solve_hbar(model, lift, q, kbar, method="picard")
+        assert len(calls) <= 60
+        hb = solve_hbar(model, lift, q, kbar, method="bisect")
+        assert hb == pytest.approx(hp, rel=1e-10, abs=0.0)
+
     def test_pbar_root(self, model_lift):
         model, lift = model_lift
         q = 0.6
@@ -139,6 +186,27 @@ class TestSolvers:
         assert solve_pbar_h(model, lift, q, hi * 1.01) == math.inf
         with pytest.raises(InfeasibleProblem):
             solve_pbar_h(model, lift, q, lo * 0.99)
+
+    def test_pbar_root_near_lower_bound(self):
+        # the root lies near h = 5e-10, where scipy's default absolute tolerance
+        # of 2e-12 shows; a small mean^2 / variance keeps P(h) = pbar well
+        # conditioned there
+        model = make_model(A=1e-8)
+        lift = build_lift(model.pi, 2)
+        q = 0.6
+        lo, hi = p_bounds(model, lift, q)
+        pbar = lo + 1e-9 * (hi - lo)
+        h_lo, h_hi = 0.0, 1.0
+        while True:  # reference bisection to the last bit
+            mid = 0.5 * (h_lo + h_hi)
+            if mid in (h_lo, h_hi):
+                break
+            if eval_P(model, lift, q, mid) < pbar:
+                h_lo = mid
+            else:
+                h_hi = mid
+        assert h_hi < 1e-9
+        assert solve_pbar_h(model, lift, q, pbar) == pytest.approx(h_hi, rel=1e-11, abs=0.0)
 
     def test_balanced_case(self, model_lift):
         model, lift = model_lift
@@ -335,14 +403,19 @@ def _reference_residual(model, lift, q, h, ansatz, states, running_cost):
 
 
 def _quadrature_J_K_P(model, q, h):
-    """J, K, P from their measure integrals against pi, by adaptive quadrature."""
+    """J, K, P from their measure integrals against pi, by tanh-sinh quadrature.
+
+    tanhsinh evaluates the integrand on arrays of nodes, so the scipy.stats
+    density costs one call per level rather than one per node.
+    """
     pi, D = model.pi, model.D
+    pdf = stats.gamma(pi.alpha, scale=pi.beta).pdf
 
     def integral(f):
         # split at the mean: the integrand may be singular at 0 and peaked near the mean
         mid = pi.alpha * pi.beta
         return sum(
-            integrate.quad(lambda r: f(r) * pi.pdf(r), lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            integrate.tanhsinh(lambda r: f(r) * pdf(r), lo, hi, rtol=1e-13).integral
             for lo, hi in ((0.0, mid), (mid, np.inf))
         )
 

@@ -55,20 +55,26 @@ class TestBuildLift:
 
 class TestLiftValidation:
     def test_wrong_size(self):
-        with pytest.raises(ValueError):
-            MarkovianLift(m=2, r=np.array([1.0, 2.0]), c=np.array([0.5, 0.5]))
+        for r, c in (([1.0, 2.0], [1.0]), ([], []), ([[1.0, 2.0]], [[0.5, 0.5]])):
+            with pytest.raises(ValueError):
+                MarkovianLift(r=np.array(r), c=np.array(c))
 
     def test_non_increasing_rates(self):
         with pytest.raises(ValueError):
-            MarkovianLift(m=1, r=np.array([2.0, 1.0]), c=np.array([0.5, 0.5]))
+            MarkovianLift(r=np.array([2.0, 1.0]), c=np.array([0.5, 0.5]))
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            MarkovianLift(m=1, r=np.array([1.0, 2.0]), c=np.array([0.5, 0.6]))
+            MarkovianLift(r=np.array([1.0, 2.0]), c=np.array([0.5, 0.6]))
 
     def test_singleton_allowed(self):
-        lift = MarkovianLift(m=0, r=np.array([1.5]), c=np.array([1.0]))
+        lift = MarkovianLift(r=np.array([1.5]), c=np.array([1.0]))
         assert lift.n == 1
+
+    def test_size_need_not_be_a_power_of_two(self):
+        lift = MarkovianLift(r=np.array([0.5, 1.0, 4.0]), c=np.array([0.25, 0.25, 0.5]))
+        assert lift.n == 3
+        assert lift_inv_mean(lift) == pytest.approx(0.25 / 0.5 + 0.25 + 0.5 / 4.0)
 
 
 class TestConvergence:

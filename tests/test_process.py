@@ -2,6 +2,7 @@ import io
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats as sps
@@ -11,9 +12,11 @@ from supcbi.measures import GammaMixingMeasure, TemperedStableLevy
 from supcbi.process import (
     Controller,
     _component_events,
+    _exp_diff,
     SupCbiModel,
     acf_gamma,
     acf_lift,
+    grid_mean_variance,
     path_stats,
     simulate,
     stationary_mean,
@@ -81,16 +84,59 @@ class TestAcf:
         model = small_model(alpha=2.2, beta=0.7, B=0.4)
         d = model.D
         pi = model.pi
+        pdf = sps.gamma(pi.alpha, scale=pi.beta).pdf
         for tau in (0.5, 5.0):
             num, _ = integrate.quad(
-                lambda r: pi.pdf(r) / r * math.exp(-d * tau * r), 0.0, np.inf
+                lambda r: pdf(r) / r * math.exp(-d * tau * r), 0.0, np.inf
             )
-            den, _ = integrate.quad(lambda r: pi.pdf(r) / r, 0.0, np.inf)
+            den, _ = integrate.quad(lambda r: pdf(r) / r, 0.0, np.inf)
             assert acf_gamma(model, tau) == pytest.approx(num / den, rel=1e-8)
 
     def test_negative_lag_rejected(self):
         with pytest.raises(ValueError):
             acf_gamma(small_model(), -1.0)
+
+
+class TestGridMeanVariance:
+    def test_matches_double_sum_of_lift_acf(self):
+        # Var(mean) = sum over sample pairs (s, t) of sum_i v_i rho_i^|s-t|, / N^2
+        model = small_model(B=0.4, A=0.5, alpha=2.1, beta=0.8)
+        lift = build_lift(model.pi, 2)
+        dt = 0.7
+        v = 0.5 * model.A * model.M2 / model.D**2 * lift.c / lift.r
+        for n in (1, 2, 7, 40):
+            lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+            acov = sum(v_i * np.exp(-r_i * model.D * dt * lags) for v_i, r_i in zip(v, lift.r))
+            assert grid_mean_variance(model, lift, n, dt) == pytest.approx(
+                acov.sum() / n**2, rel=1e-13
+            )
+        assert grid_mean_variance(model, lift, 1, dt) == pytest.approx(
+            stationary_variance(model, lift), rel=1e-14
+        )
+
+    def test_argument_validation(self):
+        model = small_model()
+        lift = build_lift(model.pi, 1)
+        with pytest.raises(ValueError):
+            grid_mean_variance(model, lift, 0, 1.0)
+        with pytest.raises(ValueError):
+            grid_mean_variance(model, lift, 5, 0.0)
+
+
+def test_exp_diff_against_mpmath():
+    # just above |b - a| = 1e-9 the difference of exponentials cancels to ~1e-7
+    mpmath.mp.dps = 50
+    b = 0.7
+    for delta in (0.25, 1.0):
+        for gap in (0.0, 1.1e-9, 2e-9, 1e-8, 1e-6, 1e-3, 0.5):
+            for a in (b - gap, b + gap):
+                got = float(_exp_diff(a, b, delta))
+                ma, mb, md = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(delta)
+                if a == b:
+                    exact = md * mpmath.exp(-ma * md)
+                else:
+                    exact = (mpmath.exp(-ma * md) - mpmath.exp(-mb * md)) / (mb - ma)
+                assert got == pytest.approx(float(exact), rel=1e-15, abs=0.0), (a, delta)
 
 
 class TestSimulate:
