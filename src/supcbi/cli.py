@@ -272,12 +272,11 @@ def _multi_site_sweep(
     for path in site_paths:
         site = path.stem
         site_config = _parse_config(path, "sweep")
-        site_config.setdefault("Pbar", config.get("Pbar", ""))
-        if not site_config.get("Pbar"):
-            site_config.pop("Pbar", None)
-        for key in ("Qhat", "Qabs"):
-            if key in config and key not in site_config:
-                site_config[key] = config[key]
+        # the global Pbar and target fill only what the site leaves unset;
+        # Qhat and Qabs are two forms of one setting
+        for keys in (("Pbar",), ("Qhat", "Qabs")):
+            if not any(key in site_config for key in keys):
+                site_config.update({key: config[key] for key in keys if key in config})
         rows = sweep(_control_problem(args, site_config, grid[0]), grid)
         per_site[site] = rows
         with open(out / f"sweep_{site}.csv", "w", newline="\n") as fh:

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-_REL_TOL = 1e-12  # relative tolerance of both control roots
+_REL_TOL = 1e-12  # relative tolerance of both control roots and of q = 1 (Balanced)
 
 
 class InfeasibleProblem(ValueError):
@@ -214,7 +214,7 @@ def solve_pbar_h(model: SupCbiModel, lift: MarkovianLift, q: float, pbar: float)
 def solve(problem: ControlProblem) -> ControlSolution:
     """Constrained minimizer of J per the three target regimes.
 
-    q = 1: no control needed; u = 0, rho arbitrary (reported as 1).
+    q = 1 (to _REL_TOL): no control needed; u = 0, rho arbitrary (reported as 1).
     q > 1: the infimum Var[Y_n] is approached but not attained (h -> 0).
     0 < q < 1: h is the largest value meeting the cost bound and, when given,
     the variability bound; rho = q*h, u = -(1-q)*h.
@@ -222,7 +222,7 @@ def solve(problem: ControlProblem) -> ControlSolution:
     model, lift = problem.model, problem.lift
     q = q_from_target(model, lift, qhat=problem.qhat, qabs=problem.qabs)
     var = stationary_variance(model, lift)
-    if q == 1.0:
+    if abs(1.0 - q) <= _REL_TOL:
         return ControlSolution(
             case_label="Balanced", q=q, hbar=0.0, rho=1.0, u=0.0, J=var, K=0.0,
             P=0.0 if problem.pbar is not None else None,

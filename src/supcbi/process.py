@@ -1,6 +1,6 @@
 """The supCBI discharge process on a Markovian lift.
 
-Stationary moments and autocorrelation in closed form, plus an exact
+Stationary moments, cumulants and autocorrelation in closed form, plus an exact
 event-driven Monte Carlo simulator of the lifted system with optional static
 feedback control. Self-exciting (B > 0) jumps are drawn from the cluster
 representation, one generation of children at a time. Small jumps below a
@@ -26,6 +26,7 @@ __all__ = [
     "PathStats",
     "stationary_mean",
     "stationary_variance",
+    "stationary_cumulants",
     "acf_gamma",
     "acf_lift",
     "grid_mean_variance",
@@ -38,8 +39,10 @@ __all__ = [
 class SupCbiModel:
     """Full process parameters (A, B, pi, nu, baseflow) with derived moments.
 
-    D = 1 - B * M1 must be positive (stationarity). Passing m1/m2 overrides the
-    Levy moments, which is how eps-truncated variants are constructed.
+    Every Levy moment is the moment of nu truncated at eps, M_k =
+    nu.truncated_moment(k, eps); eps = 0 is the full model, and `truncated`
+    gives the eps > 0 variants the simulator's paths follow. D = 1 - B * M1
+    must be positive (stationarity).
     """
 
     def __init__(
@@ -49,8 +52,7 @@ class SupCbiModel:
         pi: GammaMixingMeasure,
         nu: TemperedStableLevy,
         baseflow: float = 0.0,
-        m1: float | None = None,
-        m2: float | None = None,
+        eps: float = 0.0,
     ):
         if A < 0.0:
             raise ValueError(f"immigration scale A must be nonnegative, got {A}")
@@ -63,23 +65,16 @@ class SupCbiModel:
         self.pi = pi
         self.nu = nu
         self.baseflow = float(baseflow)
-        self.M1 = float(m1) if m1 is not None else levy_moment(nu, 1)
-        self.M2 = float(m2) if m2 is not None else levy_moment(nu, 2)
+        self.eps = float(eps)
+        self.M1 = nu.truncated_moment(1, self.eps)
+        self.M2 = nu.truncated_moment(2, self.eps)
         if not (self.M1 > 0.0 and self.M2 > 0.0 and math.isfinite(self.M1) and math.isfinite(self.M2)):
             raise ValueError("Levy moments must be finite and positive")
         self.D = _d_from_b(self.B, self.M1)
 
     def truncated(self, eps: float) -> "SupCbiModel":
-        """Copy of the model with M1, M2 replaced by their eps-truncated values."""
-        return SupCbiModel(
-            self.A,
-            self.B,
-            self.pi,
-            self.nu,
-            baseflow=self.baseflow,
-            m1=self.nu.truncated_moment(1, eps),
-            m2=self.nu.truncated_moment(2, eps),
-        )
+        """Copy of the model with every Levy moment truncated at eps."""
+        return SupCbiModel(self.A, self.B, self.pi, self.nu, baseflow=self.baseflow, eps=eps)
 
 
 def _b_from_d(nu: TemperedStableLevy, d: float) -> float:
@@ -103,6 +98,25 @@ def stationary_mean(model: SupCbiModel, lift: MarkovianLift) -> float:
 def stationary_variance(model: SupCbiModel, lift: MarkovianLift) -> float:
     """Var[Y_n] = (A*M2 / (2 D^2)) * sum(c_i/r_i)."""
     return 0.5 * model.A * model.M2 / model.D**2 * lift_inv_mean(lift)
+
+
+def stationary_cumulants(model: SupCbiModel, lift: MarkovianLift) -> tuple[float, float, float, float]:
+    """Cumulants kappa_1..kappa_4 of the stationary Y_n; baseflow not included.
+
+    Each lift component is an affine CBI process, and E[L exp(theta Y_i)] = 0
+    gives the cumulant generating function A * R_n * integral_0^theta g(s) ds
+    with g(s) = (k(s)/s) / (1 - B k(s)/s) and k(s) = sum_k M_k s^k / k!. With
+    a_j = M_(j+1) / (j+1)!, the Taylor coefficients of g are g_0 = M1/D and
+    g_j = (a_j + B sum_(l=1..j) a_l g_(j-l)) / D, and
+    kappa_k = A R_n (k-1)! g_(k-1). For B = 0 this is A R_n M_k / k.
+    """
+    a = [model.nu.truncated_moment(j + 1, model.eps) / math.factorial(j + 1) for j in range(4)]
+    g: list[float] = []
+    for j in range(4):
+        g.append((a[j] + model.B * math.fsum(a[l] * g[j - l] for l in range(1, j + 1))) / model.D)
+    scale = model.A * lift_inv_mean(lift)
+    k1, k2, k3, k4 = (scale * math.factorial(j) * g[j] for j in range(4))
+    return k1, k2, k3, k4
 
 
 def acf_gamma(model: SupCbiModel, tau: float) -> float:

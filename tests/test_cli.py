@@ -152,6 +152,23 @@ class TestSweepCommand:
             _, lo, hi = line.split(",")
             assert lo == "a" and hi == "b"
 
+    def test_multi_site_settings_fill_only_what_the_site_leaves_unset(self, tmp_path):
+        # a site's Qhat overrides a global Qabs (one target, two forms), and a
+        # site's Pbar overrides the global one; each site sweep equals the
+        # single-site sweep of its resolved config
+        sites = tmp_path / "sites"
+        sites.mkdir()
+        (sites / "a.cfg").write_text(MODEL_CFG + "m = 2\nQhat = 0.4\nPbar = 0.35\n")
+        (sites / "b.cfg").write_text(MODEL_CFG + "m = 2\n")
+        grid = "Kbar_grid = 0.001,0.01,0.1\n"
+        cfg = write_cfg(tmp_path, grid + f"Qabs = 0.2\nPbar = 0.08\nsites_dir = {sites}\n")
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        for site, settings in (("a", "Qhat = 0.4\nPbar = 0.35\n"), ("b", "Qabs = 0.2\nPbar = 0.08\n")):
+            single = write_cfg(tmp_path, MODEL_CFG + "m = 2\n" + settings + grid, name=f"{site}.cfg")
+            out = tmp_path / site
+            assert run(["sweep", "--config", single, "--out", str(out), "--quiet"]) == EXIT_OK
+            assert (tmp_path / f"sweep_{site}.csv").read_bytes() == (out / "sweep.csv").read_bytes()
+
 
 class TestSimulateCommand:
     CFG = (
@@ -212,6 +229,34 @@ class TestIdentifyCommand:
         emp_mean = float(lines[1].split(",")[1])
         fit_mean = float(lines[1].split(",")[2])
         assert fit_mean == pytest.approx(emp_mean, rel=0.01)
+
+    def test_full_mode_at_station_scale(self, tmp_path):
+        # two hourly years with the p1_point20 mean and variance; exponential
+        # jumps (c1 = -1) give Var/E = 1/c2. Its full-mode fit explores station
+        # scale models, where a Monte Carlo skewness would need 1e8+ jumps.
+        pi = GammaMixingMeasure(alpha=2.329, beta=3.149e-2 / 0.5)
+        lift = build_lift(pi, 2)
+        nu = TemperedStableLevy(c1=-1.0, c2=7.7 / 398.0)
+        a = 7.7 / (levy_moment(nu, 1) * float(np.sum(lift.c / lift.r)))
+        model = SupCbiModel(A=a, B=0.0, pi=pi, nu=nu, baseflow=1.17)
+        path = simulate(model, lift, horizon=17520.0, dt=1.0, eps=1e-6, seed=3)
+        series_path = tmp_path / "series.csv"
+        series_path.write_text(
+            "timestamp,discharge_m3s\n"
+            + "".join(f"{float(k)},{v + model.baseflow:.17g}\n" for k, v in enumerate(path.y_total))
+        )
+        cfg = write_cfg(
+            tmp_path,
+            f"series = {series_path}\nD = 0.5\nmax_lag = 200\nmode = full\nm = 8\n",
+        )
+        assert run(["identify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        rows = {
+            line.split(",")[0]: line.split(",")[1:]
+            for line in (tmp_path / "fit_report.csv").read_text().splitlines()[1:]
+        }
+        for name in ("Average", "Variance", "Skewness", "Kurtosis"):
+            assert math.isfinite(float(rows[name][1])), name
+        assert "mode = full" in (tmp_path / "fit_report.txt").read_text()
 
     def test_exponential_acf_reports_degenerate_fit(self, tmp_path):
         # a single reversion rate gives an exponential ACF; its fit runs off to

@@ -114,6 +114,41 @@ class TestEvaluators:
             else:
                 assert all(np.diff(js) > 0)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.floats(1.05, 6.0),
+        beta=st.floats(1e-3, 10.0),
+        c1=st.one_of(st.floats(-0.9, -0.01), st.just(0.0), st.floats(0.01, 0.95)),
+        c2=st.floats(0.01, 10.0),
+        a=st.floats(1e-3, 10.0),
+        excitation=st.floats(0.0, 0.95),
+        m=st.integers(0, 8),
+        q=st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 5.0)),
+    )
+    def test_monotone_and_bounded_property(self, alpha, beta, c1, c2, a, excitation, m, q):
+        # over h from far below the slowest to far above the fastest rate r_i D:
+        # J falls (q < 1) or rises (q > 1) between Var and q^2 Var, K and P rise,
+        # and P stays within p_bounds; the slack is rounding, 1e-12 relative
+        nu = TemperedStableLevy(c1=c1, c2=c2)
+        model = SupCbiModel(
+            A=a, B=excitation / levy_moment(nu, 1),
+            pi=GammaMixingMeasure(alpha=alpha, beta=beta), nu=nu,
+        )
+        lift = build_lift(model.pi, m)
+        hs = np.geomspace(1e-4 * lift.r[0] * model.D, 1e4 * lift.r[-1] * model.D, 80)
+        js, ks, ps = (
+            np.array([f(model, lift, q, h) for h in hs]) for f in (eval_J, eval_K, eval_P)
+        )
+        tol = 1e-12
+        assert np.all(np.diff(ks) >= -tol * ks[1:])
+        assert np.all(np.diff(ps) >= -tol * ps[1:])
+        assert np.all(np.sign(1.0 - q) * np.diff(js) <= tol * js[1:])
+        var = stationary_variance(model, lift)
+        lo, hi = p_bounds(model, lift, q)
+        assert np.all((ps >= lo * (1.0 - tol)) & (ps <= hi * (1.0 + tol)))
+        j_lo, j_hi = sorted((var, q * q * var))
+        assert np.all((js >= j_lo * (1.0 - tol)) & (js <= j_hi * (1.0 + tol)))
+
 
 class TestSolvers:
     def test_hbar_round_trip(self, model_lift):
@@ -220,6 +255,18 @@ class TestSolvers:
         assert sol.J == pytest.approx(stationary_variance(model, lift))
         sol2 = solve(ControlProblem(model=model, lift=lift, kbar=1.0, qhat=total))
         assert sol2.case_label == "Balanced"
+
+    def test_balanced_within_rounding_of_the_mean(self, station_fixtures):
+        # a target one ulp off the mean inflow is Balanced, not a control with
+        # hbar ~ 1e30 (below) or an unattained infimum (above)
+        model = station_fixtures[0].model()
+        lift = build_lift(model.pi, 8)
+        total = model.baseflow + stationary_mean(model, lift)
+        var = stationary_variance(model, lift)
+        for qhat in (math.nextafter(total, 0.0), total, math.nextafter(total, math.inf)):
+            sol = solve(ControlProblem(model=model, lift=lift, kbar=10.0, qhat=qhat))
+            assert sol.case_label == "Balanced", qhat
+            assert (sol.hbar, sol.u, sol.K, sol.J) == (0.0, 0.0, 0.0, var)
 
     def test_water_adding_case(self, model_lift):
         model, lift = model_lift

@@ -9,6 +9,7 @@ import pytest
 
 from supcbi.identify import (
     DischargeSeries,
+    _model_stats,
     empirical_acf,
     fit_acf,
     fit_moments,
@@ -19,7 +20,7 @@ from supcbi.identify import (
 )
 from supcbi.lift import build_lift
 from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
-from supcbi.process import SupCbiModel, path_stats
+from supcbi.process import SupCbiModel, path_stats, stationary_cumulants
 
 
 def synthetic_series(mean, variance, n=2000, seed=0):
@@ -219,25 +220,56 @@ class TestFitMoments:
         b = (1.0 - d) / levy_moment(nu, 1)
         model = SupCbiModel(A=0.8, B=b, pi=pi, nu=nu, baseflow=1.0)
         lift = build_lift(pi, 2)
-        mc = dict(mc_seed=7, mc_replicates=4, mc_horizon=120.0, mc_dt=1.0)
         # empirical targets are the model's own statistics at the truth
-        from supcbi.identify import _model_stats
-
-        empirical = _model_stats(model, lift, "full", mc["mc_seed"],
-                                 mc["mc_replicates"], mc["mc_horizon"], mc["mc_dt"])
+        empirical = _model_stats(model, lift, "full")
         truth = np.array([
             math.log(0.2 / 0.8),  # logit of c1 = 0.2
             math.log(1.0),
             math.log(0.8),
             math.log(1.0),
         ])
-        e0 = moment_objective(truth, pi, d, lift, empirical, mode="full", **mc)
+        e0 = moment_objective(truth, pi, d, lift, empirical, mode="full")
         assert e0 < 1e-20
         for i in range(4):
             for sign in (-1.0, 1.0):
                 x = truth.copy()
                 x[i] += sign * math.log(1.1)
-                assert moment_objective(x, pi, d, lift, empirical, mode="full", **mc) > e0
+                assert moment_objective(x, pi, d, lift, empirical, mode="full") > e0
+
+    def test_full_mode_statistics_are_the_cumulant_ratios(self, station_fixtures):
+        # at station scale (p1_point20, m = 8): a Monte Carlo estimate would need
+        # about 1e11 jumps, the closed form is finite and deterministic
+        model = station_fixtures[0].model()
+        lift = build_lift(model.pi, 8)
+        stats = _model_stats(model, lift, "full")
+        _, k2, k3, k4 = stationary_cumulants(model, lift)
+        assert stats["Variance"] == pytest.approx(k2, rel=1e-14)
+        assert stats["Skewness"] == pytest.approx(k3 / k2**1.5, rel=1e-15)
+        assert stats["Kurtosis"] == pytest.approx(3.0 + k4 / k2**2, rel=1e-15)
+        c1 = model.nu.c1
+        params = np.log([c1 / (1.0 - c1), model.nu.c2, model.A, model.baseflow])
+        value = moment_objective(params, model.pi, model.D, lift, stats, mode="full")
+        assert 0.0 <= value < 1e-20
+
+    @pytest.mark.parametrize("mode, log_a", [("analytic", 500.0), ("full", 500.0), ("full", -500.0)])
+    def test_out_of_range_parameters_are_penalized(self, mode, log_a):
+        # A = e^500: the squared relative error of the variance overflows;
+        # A = e^-500: kappa_2^1.5 underflows to 0 under the skewness
+        pi = GammaMixingMeasure(alpha=2.0, beta=1.0)
+        empirical = {"Average": 2.0, "Variance": 1.0, "Skewness": 1.0, "Kurtosis": 5.0}
+        params = np.array([0.0, 0.0, log_a, 0.0])
+        assert moment_objective(params, pi, 0.5, build_lift(pi, 2), empirical, mode=mode) == 1e12
+
+    def test_monte_carlo_arguments_are_accepted_and_unused(self, station_fixtures):
+        model = station_fixtures[0].model()
+        lift = build_lift(model.pi, 2)
+        stats = _model_stats(model, lift, "full")
+        assert _model_stats(model, lift, "full", 7, 4, 120.0, 1.0) == stats
+        params = np.zeros(4)
+        assert moment_objective(params, model.pi, 0.5, lift, stats, mode="full") == moment_objective(
+            params, model.pi, 0.5, lift, stats, mode="full",
+            mc_seed=7, mc_replicates=4, mc_horizon=120.0, mc_dt=1.0,
+        )
 
     def test_report_formatting(self):
         series = synthetic_series(9.029, 403.9, seed=3)

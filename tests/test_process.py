@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats as sps
 
-from supcbi.lift import build_lift
-from supcbi.measures import GammaMixingMeasure, TemperedStableLevy
+from supcbi.lift import build_lift, lift_inv_mean
+from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
 from supcbi.process import (
     Controller,
     _component_events,
@@ -19,6 +19,7 @@ from supcbi.process import (
     grid_mean_variance,
     path_stats,
     simulate,
+    stationary_cumulants,
     stationary_mean,
     stationary_variance,
     write_path_csv,
@@ -47,6 +48,8 @@ class TestModel:
         assert trunc.D > model.D
         # original unchanged
         assert model.D == pytest.approx(1.0 - model.B * model.M1)
+        assert (model.eps, trunc.eps) == (0.0, 0.01)
+        assert model.truncated(0.0).M1 == model.M1
 
     def test_station_moments_match_published_values(self, station_fixtures):
         for fx in station_fixtures:
@@ -95,6 +98,60 @@ class TestAcf:
     def test_negative_lag_rejected(self):
         with pytest.raises(ValueError):
             acf_gamma(small_model(), -1.0)
+
+
+class TestCumulants:
+    def test_first_two_are_mean_and_variance(self):
+        rng = np.random.default_rng(5)
+        for c1 in (-0.7, 0.0, 0.6):
+            for _ in range(100):
+                nu = TemperedStableLevy(c1=c1, c2=rng.uniform(0.01, 5.0))
+                model = SupCbiModel(
+                    A=rng.uniform(1e-3, 10.0), B=rng.uniform(0.0, 0.99) / levy_moment(nu, 1),
+                    pi=GammaMixingMeasure(rng.uniform(1.1, 5.0), rng.uniform(0.01, 5.0)), nu=nu,
+                    eps=rng.choice([0.0, 1e-3]),
+                )
+                lift = build_lift(model.pi, int(rng.integers(0, 6)))
+                k1, k2, _, _ = stationary_cumulants(model, lift)
+                assert k1 == pytest.approx(stationary_mean(model, lift), rel=1e-14, abs=0.0)
+                assert k2 == pytest.approx(stationary_variance(model, lift), rel=1e-14, abs=0.0)
+
+    def test_without_self_excitation_they_are_supou_cumulants(self):
+        # B = 0: kappa_k = A R_n M_k / k (Barndorff-Nielsen 2001)
+        for c1 in (-0.7, 0.0, 0.6):
+            model = small_model(B=0.0, c1=c1, c2=1.7, A=0.3)
+            lift = build_lift(model.pi, 3)
+            expected = [
+                model.A * lift_inv_mean(lift) * levy_moment(model.nu, k) / k for k in range(1, 5)
+            ]
+            assert stationary_cumulants(model, lift) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("c1, c2", [(-0.6, 1.3), (0.5, 1.0)])
+    def test_self_exciting_against_mpmath_cgf(self, c1, c2):
+        # the CGF is A R_n times the integral of g(s) = k(s)/s / (1 - B k(s)/s),
+        # k(s) the integral of exp(s z) - 1 against nu; kappa_k is A R_n g^(k-1)(0).
+        # With z = u^p, p = 1/(1-c1), k(s)/s is the integral over u > 0 of
+        # p (exp(s z) - 1)/(s z) exp(-c2 z), smooth at u = 0.
+        nu = TemperedStableLevy(c1=c1, c2=c2)
+        model = SupCbiModel(A=0.7, B=0.6 / levy_moment(nu, 1), pi=GammaMixingMeasure(2.2, 0.9), nu=nu)
+        lift = build_lift(model.pi, 2)
+        p, mc2, mb = 1 / (1 - mpmath.mpf(c1)), mpmath.mpf(c2), mpmath.mpf(model.B)
+
+        def g(s):
+            def integrand(u):
+                z = u**p
+                ratio = mpmath.expm1(s * z) / (s * z) if s * z != 0 else 1
+                return p * ratio * mpmath.exp(-mc2 * z)
+
+            k_over_s = mpmath.quad(integrand, [0, 1, mpmath.inf])
+            return k_over_s / (1 - mb * k_over_s)
+
+        with mpmath.workdps(15):
+            taylor = mpmath.taylor(g, 0, 3)
+        scale = model.A * lift_inv_mean(lift)
+        _, _, k3, k4 = stationary_cumulants(model, lift)
+        assert k3 == pytest.approx(scale * 2 * float(taylor[2]), rel=1e-10, abs=0.0)
+        assert k4 == pytest.approx(scale * 6 * float(taylor[3]), rel=1e-10, abs=0.0)
 
 
 class TestGridMeanVariance:
@@ -187,6 +244,23 @@ class TestSimulate:
         se = variances.std(ddof=1) / math.sqrt(reps)
         exact = stationary_variance(model.truncated(eps), lift)
         assert abs(variances.mean() - exact) < 3.0 * se
+
+    def test_self_exciting_shape_statistics(self):
+        # sample skewness and kurtosis of B > 0 paths against the closed form of
+        # the eps-truncated model the paths follow
+        model = small_model(B=0.5 / levy_moment(TemperedStableLevy(0.2, 1.0), 1), A=0.5)
+        lift = build_lift(model.pi, 1)
+        eps = 1e-3
+        reps = 16
+        shapes = np.empty((reps, 2))
+        for rep in range(reps):
+            p = simulate(model, lift, horizon=3000.0, dt=0.5, eps=eps, seed=53, replicate=rep)
+            stats = path_stats(p, 0)
+            shapes[rep] = stats.skewness, stats.kurtosis
+        se = shapes.std(axis=0, ddof=1) / math.sqrt(reps)
+        _, k2, k3, k4 = stationary_cumulants(model.truncated(eps), lift)
+        exact = k3 / k2**1.5, 3.0 + k4 / k2**2
+        assert np.all(np.abs(shapes.mean(axis=0) - exact) < 3.0 * se)
 
     def test_self_exciting_event_count(self):
         # from Y_i(0) = 0 the intensity (c A + r B Y_i) nubar has mean
