@@ -169,7 +169,7 @@ def _bracket_root(f, target: float, hi: float) -> float | None:
 def solve_hbar(
     model: SupCbiModel, lift: MarkovianLift, q: float, kbar: float, method: str = "picard"
 ) -> float:
-    """Unique positive root of K(h) = kbar for q != 1.
+    """Unique positive root of K(h) = kbar for |1 - q| > _REL_TOL, the Balanced rule of `solve`.
 
     K(h) = h^2 (1-q)^2 Var * S(h) is strictly increasing. "picard" iterates
     h <- sqrt(kbar / ((1-q)^2 Var * S(h))) from the root's lower bound
@@ -177,8 +177,8 @@ def solve_hbar(
     factor below 1/2, as S has elasticity in (0, 1). "bisect" applies Brent's
     method to K(h) = kbar, independently of the Picard map.
     """
-    if q <= 0.0 or q == 1.0:
-        raise ValueError("root solving needs q > 0 and q != 1")
+    if q <= 0.0 or abs(1.0 - q) <= _REL_TOL:
+        raise ValueError(f"root solving needs q > 0 and |1 - q| > {_REL_TOL:g}")
     if kbar <= 0.0:
         raise ValueError("kbar must be positive")
     if method not in ("picard", "bisect"):

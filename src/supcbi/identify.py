@@ -223,6 +223,23 @@ def _model_stats(
     return stats
 
 
+def _fit_error(
+    fitted: dict[str, float], empirical: dict[str, float], mode: str
+) -> tuple[float, dict[str, float]]:
+    """E and its terms, the squared relative error of each matched statistic.
+
+    The terms are added left to right in _STAT_NAMES order, not with `sum`,
+    which compensates its rounding from Python 3.12 on; E is then the same
+    number on every Python version.
+    """
+    names = _STAT_NAMES if mode == "full" else _STAT_NAMES[:2]
+    terms = {name: ((fitted[name] - empirical[name]) / empirical[name]) ** 2 for name in names}
+    total = 0.0
+    for err in terms.values():
+        total += err
+    return total, terms
+
+
 def _build_model(
     params: np.ndarray, pi: GammaMixingMeasure, d: float
 ) -> SupCbiModel:
@@ -259,13 +276,9 @@ def moment_objective(
         return 1e12
     try:
         model = _build_model(np.asarray(params, dtype=float), pi, d)
-        fitted = _model_stats(model, lift, mode)
-        total = 0.0
-        for name in names:
-            total += ((fitted[name] - empirical[name]) / empirical[name]) ** 2
+        return _fit_error(_model_stats(model, lift, mode), empirical, mode)[0]
     except (ValueError, ArithmeticError):  # invalid parameters, or statistics out of float range
         return 1e12
-    return total
 
 
 def fit_moments(
@@ -314,14 +327,11 @@ def fit_moments(
 
     model = _build_model(best_x, pi, d)
     fitted = _model_stats(model, lift, mode)
-    names = _STAT_NAMES if mode == "full" else _STAT_NAMES[:2]
-    term_errors = {
-        name: ((fitted[name] - empirical[name]) / empirical[name]) ** 2 for name in names
-    }
+    e, term_errors = _fit_error(fitted, empirical, mode)
     return FitReport(
         model=model,
         acf_window=acf_window,
-        E=sum(term_errors.values()),
+        E=e,
         term_errors=term_errors,
         empirical=empirical,
         fitted=fitted,

@@ -98,9 +98,9 @@ def convergence_report(
 
 def write_lift_csv(lift: MarkovianLift, out: IO[str]) -> None:
     """CSV dump of the lift, full double precision."""
-    out.write("i,r_i,c_i\n")
-    for i in range(lift.n):
-        out.write(f"{i + 1},{lift.r[i]:.17g},{lift.c[i]:.17g}\n")
+    r, c = lift.r.tolist(), lift.c.tolist()
+    rows = [f"{i + 1},{r[i]:.17g},{c[i]:.17g}\n" for i in range(lift.n)]
+    out.write("i,r_i,c_i\n" + "".join(rows))
 
 
 def format_convergence_table(rows: Sequence[ConvergenceRow]) -> str:

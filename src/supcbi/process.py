@@ -2,10 +2,11 @@
 
 Stationary moments, cumulants and autocorrelation in closed form, plus an exact
 event-driven Monte Carlo simulator of the lifted system with optional static
-feedback control. Self-exciting (B > 0) jumps are drawn from the cluster
-representation, one generation of children at a time. Small jumps below a
-truncation level eps are dropped; all closed-form comparisons against
-simulation use the eps-truncated moments so the truncation bias cancels.
+feedback control. Every component's jumps come from one cluster sampler,
+one generation of children at a time; with B = 0 only the immigrant
+generation is drawn. Small jumps below a truncation level eps are dropped;
+all closed-form comparisons against simulation use the eps-truncated moments
+so the truncation bias cancels.
 """
 
 from __future__ import annotations
@@ -173,15 +174,10 @@ class Controller:
 class SimulatedPath:
     """Recorded grid values of a simulated lifted path."""
 
-    dt: float
-    horizon: float
     t: np.ndarray
     y_total: np.ndarray
     x: Optional[np.ndarray]
     c_rate: Optional[np.ndarray]
-    seed: int
-    eps: float
-    truncation_bias: float
 
 
 def _component_events(
@@ -195,22 +191,17 @@ def _component_events(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jump times and sizes of one lifted component on [0, horizon].
 
-    B = 0 is a homogeneous Poisson stream. B > 0 uses the cluster (branching)
-    representation of the self-exciting intensity (c_i A + r_i B Y_i) nubar
-    (Hawkes and Oakes 1974): immigrants form a Poisson stream at rate
-    c_i A nubar, and each jump of size z has Poisson(B z nubar) children at
-    Exp(r_i) delays. One generation is drawn at a time; children past the
-    horizon are dropped with their descendants, which would come later still.
-    The mean number of children per jump is B M1(eps) = 1 - D_eps < 1, so the
-    generations die out.
+    Cluster (branching) representation of the self-exciting intensity
+    (c_i A + r_i B Y_i) nubar (Hawkes and Oakes 1974): immigrants form a
+    Poisson stream at rate c_i A nubar, and each jump of size z has
+    Poisson(B z nubar) children at Exp(r_i) delays. One generation is drawn at
+    a time; children past the horizon are dropped with their descendants,
+    which would come later still. The mean number of children per jump is
+    B M1(eps) = 1 - D_eps < 1, so the generations die out. With B = 0 every
+    child count is Poisson(0), which draws nothing from rng, so only the
+    sorted immigrant stream is drawn.
     """
-    if model.B == 0.0:
-        rate = c_i * model.A * nubar
-        n_jumps = rng.poisson(rate * horizon)
-        times = np.sort(rng.uniform(0.0, horizon, size=n_jumps))
-        sizes = model.nu.sample_truncated(eps, n_jumps, rng)
-        return times, sizes
-    times = rng.uniform(0.0, horizon, size=rng.poisson(c_i * model.A * nubar * horizon))
+    times = np.sort(rng.uniform(0.0, horizon, size=rng.poisson(c_i * model.A * nubar * horizon)))
     all_times, all_sizes = [np.empty(0)], [np.empty(0)]
     while times.size:
         sizes = model.nu.sample_truncated(eps, times.size, rng)
@@ -220,6 +211,16 @@ def _component_events(
         times = np.repeat(times, kids) + rng.exponential(1.0 / r_i, size=int(kids.sum()))
         times = times[times <= horizon]
     return np.concatenate(all_times), np.concatenate(all_sizes)
+
+
+def _decay_scan(x: np.ndarray, decay: float) -> np.ndarray:
+    """First-order recursion y[0] = 0, y[k] = decay * y[k-1] + x[k]."""
+    y = np.zeros(x.size)
+    acc = 0.0
+    for k in range(1, x.size):
+        acc = acc * decay + x[k]
+        y[k] = acc
+    return y
 
 
 def _exp_diff(a: float, b: float, delta):
@@ -289,13 +290,7 @@ def simulate(
         bins = np.minimum((np.floor(times / dt)).astype(int) + 1, steps - 1)
         # contribution of each jump to the component value at the end of its bin
         w = sizes * np.exp(-r_i * (bins * dt - times))
-        binned = np.bincount(bins, weights=w, minlength=steps)
-        decay = math.exp(-r_i * dt)
-        yi = np.zeros(steps)
-        acc = 0.0
-        for k in range(1, steps):
-            acc = acc * decay + binned[k]
-            yi[k] = acc
+        yi = _decay_scan(np.bincount(bins, weights=w, minlength=steps), math.exp(-r_i * dt))
         y_total += yi
         if controller is not None:
             # integral of exp(-h*(t_k - s)) Y_i(s) ds over each step, exact
@@ -308,26 +303,15 @@ def simulate(
     x = c_rate = None
     if controller is not None:
         # Z = X - Y_n is continuous: dZ/dt = -h Z + u Y_n; integrate exactly.
-        decay_h = math.exp(-h * dt)
-        z = np.zeros(steps)
-        acc = 0.0
-        for k in range(1, steps):
-            acc = acc * decay_h + controller.u * z_forcing[k]
-            z[k] = acc
-        x = z + y_total
+        x = _decay_scan(controller.u * z_forcing, math.exp(-h * dt)) + y_total
         c_rate = -h * x + rho * y_total
 
     sl = slice(k0, steps)
     return SimulatedPath(
-        dt=dt,
-        horizon=horizon,
         t=grid[sl] - grid[k0],
         y_total=y_total[sl],
         x=None if x is None else x[sl],
         c_rate=None if c_rate is None else c_rate[sl],
-        seed=seed,
-        eps=eps,
-        truncation_bias=model.nu.truncation_bias(eps),
     )
 
 

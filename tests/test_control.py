@@ -162,9 +162,11 @@ class TestSolvers:
                 assert hb == pytest.approx(hp, rel=1e-10)
 
     def test_hbar_rejects_balanced(self, model_lift):
+        # within rounding of q = 1, as `solve` classes Balanced
         model, lift = model_lift
-        with pytest.raises(ValueError):
-            solve_hbar(model, lift, 1.0, 0.5)
+        for q in (1.0, 1.0 - 2.2e-16, 1.0 + 2.2e-16):
+            with pytest.raises(ValueError):
+                solve_hbar(model, lift, q, 0.5)
 
     def test_unknown_method_rejected(self, model_lift):
         model, lift = model_lift

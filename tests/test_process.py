@@ -284,6 +284,25 @@ class TestSimulate:
         se = counts.std(ddof=1) / math.sqrt(counts.size)
         assert abs(counts.mean() - exact) < 3.0 * se
 
+    @pytest.mark.parametrize("c1", [-0.6, 0.0, 0.4])
+    def test_poisson_case_draws_the_plain_poisson_stream(self, c1):
+        # with B = 0 the cluster sampler draws exactly what a homogeneous
+        # Poisson sampler draws from the same generator: count, sorted
+        # uniform times, then sizes
+        model = small_model(c1=c1)
+        eps, c_i, r_i, horizon = 1e-2, 0.3, 0.7, 50.0
+        nubar = model.nu.tail_mass(eps)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            times, sizes = _component_events(model, c_i, r_i, nubar, eps, horizon, rng)
+            ref = np.random.default_rng(seed)
+            n_jumps = ref.poisson(c_i * model.A * nubar * horizon)
+            ref_times = np.sort(ref.uniform(0.0, horizon, size=n_jumps))
+            ref_sizes = model.nu.sample_truncated(eps, n_jumps, ref)
+            assert times.tobytes() == ref_times.tobytes()
+            assert sizes.tobytes() == ref_sizes.tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_self_exciting_without_immigration_is_zero(self):
         model = small_model(B=0.4, A=0.0)
         lift = build_lift(model.pi, 1)
