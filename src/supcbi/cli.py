@@ -59,7 +59,7 @@ _KEYS = {
     "sweep": _MODEL_KEYS | {"Qhat", "Qabs", "Pbar", "Kbar_grid", "sites_dir"},
     "simulate": _MODEL_KEYS | {"horizon", "dt", "eps", "seed", "rho", "u", "xhat"},
     "identify": {"series", "D", "max_lag", "mode", "m", "restarts", "seed"},
-    "verify": _MODEL_KEYS | {"horizon", "dt", "eps", "seed", "Qhat", "Qabs", "Kbar", "perturb", "states", "draws"},
+    "verify": _MODEL_KEYS | {"horizon", "dt", "eps", "seed", "perturb", "states", "draws"},
 }
 
 
@@ -91,9 +91,12 @@ def _get_float(config: dict[str, str], key: str, default: float | None = None) -
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return float(config[key])
+        value = float(config[key])
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: not a number: {config[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: not a finite number: {config[key]!r}")
+    return value
 
 
 def _get_int(config: dict[str, str], key: str, default: int | None = None) -> int:
@@ -241,8 +244,8 @@ def _parse_grid(spec_str: str) -> list[float]:
         grid = [float(tok) for tok in spec_str.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"Kbar_grid: not a number list: {spec_str!r}") from exc
-    if not grid or any(v <= 0.0 for v in grid):
-        raise ConfigError("Kbar_grid must list positive values")
+    if not grid or not all(0.0 < v < math.inf for v in grid):
+        raise ConfigError("Kbar_grid must list positive finite values")
     return grid
 
 
@@ -389,9 +392,12 @@ def _parse_perturb(value: str):
     if kind not in ("a", "b", "const"):
         raise ConfigError(f"perturb kind must be a, b, or const, got {kind!r}")
     try:
-        return kind, int(parts[1]), int(parts[2]), float(parts[3])
+        i, j, factor = int(parts[1]), int(parts[2]), float(parts[3])
     except ValueError as exc:
         raise ConfigError(f"bad perturb spec {value!r}") from exc
+    if not math.isfinite(factor):
+        raise ConfigError(f"perturb factor must be finite, got {parts[3].strip()!r}")
+    return kind, i, j, factor
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -6,9 +6,10 @@ the constrained minimizer (Balanced / Water Adding / Water Abstracting cases,
 with an optional variability bound); and residual certification of the
 quadratic backward-Kolmogorov-equation solutions the formulas rest on.
 
-The controller is closed form except for one scalar, hbar. The cost root
-K(h) = Kbar is found by Picard iteration, the variability root P(h) = Pbar
-by Brent's method (scipy.optimize.brentq) on a doubled bracket.
+The controller is closed form except for one scalar, hbar. Both of its
+roots, the cost root K(h) = Kbar and the variability root P(h) = Pbar, are
+found by one root finder: Brent's method (scipy.optimize.brentq) on a
+doubled bracket.
 """
 
 from __future__ import annotations
@@ -65,12 +66,11 @@ class ControlProblem:
     pbar: Optional[float] = None  # variability bound, m^6/s^2
 
     def __post_init__(self) -> None:
-        if (self.qhat is None) == (self.qabs is None):
-            raise ValueError("exactly one of qhat / qabs must be given")
-        if self.kbar <= 0.0:
-            raise ValueError("cost bound kbar must be positive")
-        if self.pbar is not None and self.pbar <= 0.0:
-            raise ValueError("variability bound pbar must be positive")
+        _target(self.qhat, self.qabs)
+        if not 0.0 < self.kbar < math.inf:
+            raise ValueError(f"cost bound kbar must be positive and finite, got {self.kbar}")
+        if self.pbar is not None and not self.pbar > 0.0:
+            raise ValueError(f"variability bound pbar must be positive, got {self.pbar}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,16 @@ class ControlSolution:
     rho_arbitrary: bool  # True in the Balanced case
 
 
+def _target(qhat: float | None, qabs: float | None) -> float:
+    """The one given target of qhat and qabs; it must be finite."""
+    if (qhat is None) == (qabs is None):
+        raise ValueError("exactly one of qhat / qabs must be given")
+    target = qhat if qhat is not None else qabs
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
+    return target
+
+
 def q_from_target(
     model: SupCbiModel,
     lift: MarkovianLift,
@@ -98,23 +108,16 @@ def q_from_target(
 
     q = Qhat / (baseflow + E[Y_n]), or 1 - Qabs / (baseflow + E[Y_n]).
     """
+    target = _target(qhat, qabs)
     total_mean = model.baseflow + stationary_mean(model, lift)
-    if total_mean <= 0.0:
+    if not total_mean > 0.0:
         raise InfeasibleProblem("mean inflow must be positive")
-    if (qhat is None) == (qabs is None):
-        raise ValueError("exactly one of qhat / qabs must be given")
-    q = qhat / total_mean if qhat is not None else 1.0 - qabs / total_mean
-    if q <= 0.0:
+    q = target / total_mean if qhat is not None else 1.0 - target / total_mean
+    if not q > 0.0:
         raise InfeasibleProblem(
             f"target implies q = {q:.6g} <= 0 (abstraction exceeds the mean inflow)"
         )
     return q
-
-
-def _cost_sum(model: SupCbiModel, lift: MarkovianLift, h: float) -> float:
-    """sum (c_i/r_i) r_i D / (r_i D + h), normalized by sum c_i/r_i."""
-    rd = lift.r * model.D
-    return float(np.sum(lift.c / lift.r * rd / (rd + h)) / lift_inv_mean(lift))
 
 
 def eval_J(model: SupCbiModel, lift: MarkovianLift, q: float, h: float) -> float:
@@ -127,10 +130,16 @@ def eval_J(model: SupCbiModel, lift: MarkovianLift, q: float, h: float) -> float
 
 
 def eval_K(model: SupCbiModel, lift: MarkovianLift, q: float, h: float) -> float:
-    """Control cost K(q, h) = h^2 (1-q)^2 Var[Y_n] * normalized damping sum."""
+    """Control cost K(q, h) = h^2 (1-q)^2 Var[Y_n] * S(h), increasing in h for q != 1.
+
+    S(h) = sum (c_i/r_i) r_i D / (r_i D + h), normalized by sum c_i/r_i, lies
+    in (0, 1]; so K = h^2 (1-q)^2 A M2 / (2D) * sum c_i / (r_i D + h).
+    """
     if h < 0.0 or q <= 0.0:
         raise ValueError("need h >= 0 and q > 0")
-    return h * h * (1.0 - q) ** 2 * stationary_variance(model, lift) * _cost_sum(model, lift, h)
+    rd = lift.r * model.D
+    s = float(np.sum(lift.c / lift.r * rd / (rd + h)))
+    return h * h * (1.0 - q) ** 2 * stationary_variance(model, lift) * (s / lift_inv_mean(lift))
 
 
 def eval_P(model: SupCbiModel, lift: MarkovianLift, q: float, h: float) -> float:
@@ -166,36 +175,23 @@ def _bracket_root(f, target: float, hi: float) -> float | None:
     return optimize.brentq(lambda h: f(h) - target, 0.0, hi, xtol=1e-300, rtol=_REL_TOL)
 
 
-def solve_hbar(
-    model: SupCbiModel, lift: MarkovianLift, q: float, kbar: float, method: str = "picard"
-) -> float:
+def solve_hbar(model: SupCbiModel, lift: MarkovianLift, q: float, kbar: float) -> float:
     """Unique positive root of K(h) = kbar for |1 - q| > _REL_TOL, the Balanced rule of `solve`.
 
-    K(h) = h^2 (1-q)^2 Var * S(h) is strictly increasing. "picard" iterates
-    h <- sqrt(kbar / ((1-q)^2 Var * S(h))) from the root's lower bound
-    sqrt(kbar / ((1-q)^2 Var)) (S <= 1); the map contracts in log h by a
-    factor below 1/2, as S has elasticity in (0, 1). "bisect" applies Brent's
-    method to K(h) = kbar, independently of the Picard map.
+    K(h) = h^2 (1-q)^2 Var * S(h) is strictly increasing and S <= 1, so the
+    root lies at or above h0 = sqrt(kbar / ((1-q)^2 Var)). Brent's method
+    finds it on [0, hi], with hi doubled from max(h0, 1) until it brackets
+    the root, as for the variability root.
     """
-    if q <= 0.0 or abs(1.0 - q) <= _REL_TOL:
+    if not q > 0.0 or abs(1.0 - q) <= _REL_TOL:
         raise ValueError(f"root solving needs q > 0 and |1 - q| > {_REL_TOL:g}")
-    if kbar <= 0.0:
+    if not kbar > 0.0:
         raise ValueError("kbar must be positive")
-    if method not in ("picard", "bisect"):
-        raise ValueError(f"unknown method {method!r}")
     scale = (1.0 - q) ** 2 * stationary_variance(model, lift)
-    h = math.sqrt(kbar / scale)
-    if method == "bisect":
-        h = _bracket_root(lambda h: eval_K(model, lift, q, h), kbar, max(h, 1.0))
-        if h is None:
-            raise RuntimeError("failed to bracket the cost root")
-        return h
-    for _ in range(200):
-        h_next = math.sqrt(kbar / (scale * _cost_sum(model, lift, h)))
-        if abs(h_next - h) <= _REL_TOL * h_next:
-            return h_next
-        h = h_next
-    raise RuntimeError("Picard iteration for the cost root did not converge in 200 steps")
+    h = _bracket_root(lambda h: eval_K(model, lift, q, h), kbar, max(math.sqrt(kbar / scale), 1.0))
+    if h is None:
+        raise RuntimeError("failed to bracket the cost root")
+    return h
 
 
 def solve_pbar_h(model: SupCbiModel, lift: MarkovianLift, q: float, pbar: float) -> float:
@@ -402,6 +398,9 @@ def _apply_perturbation(ansatz: QuadraticAnsatz, perturb) -> QuadraticAnsatz:
     if perturb is None:
         return ansatz
     kind, i, j, factor = perturb
+    n = ansatz.b.size - 1
+    if not (0 <= i <= n and 0 <= j <= n):
+        raise ValueError(f"perturbation indices ({i}, {j}) outside 0..{n}")
     a = ansatz.a.copy()
     b = ansatz.b.copy()
     const = ansatz.constant

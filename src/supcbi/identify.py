@@ -139,6 +139,8 @@ def fit_acf(acf: np.ndarray, d: float, dt: float = 1.0) -> AcfFit:
         raise ValueError("need acf values starting at lag 0 with acf[0] = 1")
     if not 0.0 < d < 1.0:
         raise ValueError(f"D must lie in (0, 1), got {d}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"sampling interval must be positive and finite, got {dt}")
     nonpos = np.nonzero(acf <= 0.0)[0]
     window = int(nonpos[0]) if nonpos.size else acf.size
     if window < 3:
@@ -152,7 +154,7 @@ def fit_acf(acf: np.ndarray, d: float, dt: float = 1.0) -> AcfFit:
 
     # crude initial guess from the lag-1 value, refined by the solver
     rho1 = min(max(target[1], 1e-6), 1.0 - 1e-6)
-    x0 = np.log([1.0, max(-math.log(rho1) / (dt if dt > 0 else 1.0), 1e-4)])
+    x0 = np.log([1.0, max(-math.log(rho1) / dt, 1e-4)])
     sol = least_squares(residuals, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=20000)
     if not sol.success:
         raise RuntimeError(f"ACF fit failed to converge: {sol.message}")

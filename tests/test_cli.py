@@ -119,6 +119,19 @@ class TestSolveCommand:
         assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "stationarity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad", ["Pbar = nan", "Kbar = nan", "Kbar = inf", "Qabs = nan", "A = inf"]
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, bad):
+        # nan compares false with every bound, so it would switch a bound off unnoticed
+        good = MODEL_CFG + "m = 2\nQabs = 0.2\nKbar = 0.01\nPbar = 1.0\n"
+        key = bad.split("=")[0]
+        lines = [line for line in good.splitlines(keepends=True) if not line.startswith(key)]
+        cfg = write_cfg(tmp_path, "".join(lines) + bad + "\n")
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "solution.txt").exists()
+
     def test_water_abstracting_output(self, tmp_path):
         cfg = write_cfg(tmp_path, MODEL_CFG + "Qabs = 0.2\nKbar = 0.01\nm = 2\nPbar = 1.0\n")
         assert run(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
@@ -135,6 +148,12 @@ class TestSweepCommand:
         assert lines[0] == "Kbar,hbar,rho,u,J,K,P,active_constraint"
         js = [float(line.split(",")[4]) for line in lines[1:]]
         assert js == sorted(js, reverse=True)
+
+    @pytest.mark.parametrize("grid", ["0.01,nan", "inf", "0.01,-1"])
+    def test_bad_grid_rejected(self, tmp_path, grid):
+        cfg = write_cfg(tmp_path, MODEL_CFG + f"Qabs = 0.2\nKbar_grid = {grid}\nm = 2\n")
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_CONFIG
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_multi_site_argmin(self, tmp_path):
         sites = tmp_path / "sites"
@@ -321,6 +340,19 @@ class TestVerifyCommand:
         assert run(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_NUMERICAL
         report = (tmp_path / "verify.txt").read_text()
         assert "FAIL" in report
+
+    @pytest.mark.parametrize("perturb", ["a,7,0,1.01", "a,0,2,1.01", "b,-1,0,1.01", "b,2,0,1.01"])
+    def test_perturbation_index_out_of_range(self, tmp_path, capsys, perturb):
+        # the n = 1 lift has coefficient indices 0..1; numpy would read -1 as the last one
+        cfg = write_cfg(tmp_path, self.CFG + f"perturb = {perturb}\n")
+        assert run(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "outside 0..1" in capsys.readouterr().err
+        assert not (tmp_path / "verify.txt").exists()
+
+    @pytest.mark.parametrize("key", ["Qhat = 1.0", "Qabs = 0.1", "Kbar = 1.0", "perturb = a,0,0,nan"])
+    def test_unused_keys_and_non_finite_factor_rejected(self, tmp_path, key):
+        cfg = write_cfg(tmp_path, self.CFG + key + "\n")
+        assert run(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("counts", ["states = 0\ndraws = 4\n", "states = 20\ndraws = 0\n"])
     @pytest.mark.parametrize("perturb", ["", "perturb = a,0,0,1.01\n"])

@@ -156,10 +156,7 @@ class TestSolvers:
         for q in (0.3, 0.85):
             for h0 in (0.05, 0.7, 4.0):
                 k0 = eval_K(model, lift, q, h0)
-                hp = solve_hbar(model, lift, q, k0, method="picard")
-                hb = solve_hbar(model, lift, q, k0, method="bisect")
-                assert hp == pytest.approx(h0, rel=1e-10)
-                assert hb == pytest.approx(hp, rel=1e-10)
+                assert solve_hbar(model, lift, q, k0) == pytest.approx(h0, rel=1e-10)
 
     def test_hbar_rejects_balanced(self, model_lift):
         # within rounding of q = 1, as `solve` classes Balanced
@@ -167,19 +164,6 @@ class TestSolvers:
         for q in (1.0, 1.0 - 2.2e-16, 1.0 + 2.2e-16):
             with pytest.raises(ValueError):
                 solve_hbar(model, lift, q, 0.5)
-
-    def test_unknown_method_rejected(self, model_lift):
-        model, lift = model_lift
-        with pytest.raises(ValueError, match="unknown method"):
-            solve_hbar(model, lift, 0.5, 0.5, method="newton")
-
-    def test_picard_does_not_fall_back_to_bisection(self, model_lift, monkeypatch):
-        # a map that never settles must fail loudly, not hand over to another solver
-        model, lift = model_lift
-        values = itertools.cycle([0.5, 1.0])
-        monkeypatch.setattr(control, "_cost_sum", lambda *args: next(values))
-        with pytest.raises(RuntimeError, match="Picard"):
-            solve_hbar(model, lift, 0.5, 0.5)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -193,10 +177,11 @@ class TestSolvers:
         q=st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 5.0)),
         log_kbar=st.floats(-12.0, 12.0),
     )
-    def test_picard_contracts_and_agrees_with_bisect(
+    def test_brent_cost_root_is_cheap_and_exact(
         self, alpha, beta, c1, c2, a, excitation, m, q, log_kbar
     ):
-        # the map contracts in log h by a factor below 1/2 from the root's lower bound
+        # kbar over 24 decades: a bounded number of K evaluations, K(hbar) = kbar
+        # to rounding, and hbar at or above the root's lower bound (S(h) <= 1)
         nu = TemperedStableLevy(c1=c1, c2=c2)
         model = SupCbiModel(
             A=a, B=excitation / levy_moment(nu, 1),
@@ -205,13 +190,28 @@ class TestSolvers:
         lift = build_lift(model.pi, m)
         kbar = 10.0**log_kbar
         calls = []
-        cost_sum = control._cost_sum
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(control, "_cost_sum", lambda *args: calls.append(args) or cost_sum(*args))
-            hp = solve_hbar(model, lift, q, kbar, method="picard")
+            mp.setattr(control, "eval_K", lambda *args: calls.append(args) or eval_K(*args))
+            hbar = solve_hbar(model, lift, q, kbar)
         assert len(calls) <= 60
-        hb = solve_hbar(model, lift, q, kbar, method="bisect")
-        assert hb == pytest.approx(hp, rel=1e-10, abs=0.0)
+        assert abs(eval_K(model, lift, q, hbar) / kbar - 1.0) <= 1e-11
+        assert hbar >= math.sqrt(kbar / ((1.0 - q) ** 2 * stationary_variance(model, lift)))
+
+    def test_cost_root_matches_reference_bisection(self, model_lift):
+        model, lift = model_lift
+        q, kbar = 0.4, 0.3
+        h_lo, h_hi = 0.0, 1.0
+        while eval_K(model, lift, q, h_hi) < kbar:
+            h_hi *= 2.0
+        while True:  # reference bisection to the last bit
+            mid = 0.5 * (h_lo + h_hi)
+            if mid in (h_lo, h_hi):
+                break
+            if eval_K(model, lift, q, mid) < kbar:
+                h_lo = mid
+            else:
+                h_hi = mid
+        assert solve_hbar(model, lift, q, kbar) == pytest.approx(h_hi, rel=1e-11, abs=0.0)
 
     def test_pbar_root(self, model_lift):
         model, lift = model_lift
@@ -313,6 +313,24 @@ class TestSolvers:
         with pytest.raises(ValueError):
             ControlProblem(model=model, lift=lift, kbar=-1.0, qhat=1.0)
 
+    @pytest.mark.parametrize(
+        "settings",
+        [{"pbar": math.nan}, {"kbar": math.nan}, {"kbar": math.inf}, {"qabs": math.nan},
+         {"qabs": math.inf}, {"qhat": math.nan, "qabs": None}],
+        ids=["pbar-nan", "kbar-nan", "kbar-inf", "qabs-nan", "qabs-inf", "qhat-nan"],
+    )
+    def test_non_finite_settings_rejected(self, model_lift, settings):
+        # nan compares false with every threshold, so a plain `x <= 0` test lets it through
+        model, lift = model_lift
+        with pytest.raises(ValueError):
+            ControlProblem(model=model, lift=lift, **{"kbar": 1.0, "qabs": 0.1, "pbar": 1.0, **settings})
+
+    def test_non_finite_target_rejected(self, model_lift):
+        model, lift = model_lift
+        for target in ({"qabs": math.nan}, {"qabs": -math.inf}, {"qhat": math.nan}):
+            with pytest.raises(ValueError, match="finite"):
+                q_from_target(model, lift, **target)
+
 
 class TestSweep:
     def test_rows_and_error_capture(self, model_lift):
@@ -362,6 +380,20 @@ class TestBkeResiduals:
         assert bke_residual_J(model, lift, q, h, states, perturb=("a", 0, 0, 1.01)) > 1e-4
         assert bke_residual_K(model, lift, q, h, states, perturb=("b", 1, 0, 1.01)) > 1e-4
         assert bke_residual_J(model, lift, q, h, states, perturb=("const", 0, 0, 1.01)) > 1e-4
+
+    @pytest.mark.parametrize(
+        "perturb",
+        [("a", 7, 0, 1.01), ("a", 0, 3, 1.01), ("b", -1, 0, 1.01), ("a", 0, -1, 1.01), ("const", 3, 0, 1.01)],
+    )
+    def test_perturbation_index_out_of_range_rejected(self, model_lift, perturb):
+        # negative indices would silently reach the last coefficient through numpy
+        model = model_lift[0]
+        lift = build_lift(model.pi, 1)
+        states = np.ones((3, lift.n + 1))
+        with pytest.raises(ValueError, match="outside 0..2"):
+            bke_residual_J(model, lift, 0.5, 0.1, states, perturb=perturb)
+        with pytest.raises(ValueError, match="outside 0..2"):
+            bke_residual_K(model, lift, 0.5, 0.1, states, perturb=perturb)
 
     def test_empty_state_set_rejected(self, model_lift):
         model, lift = model_lift

@@ -182,6 +182,12 @@ class TestFitAcf:
         with pytest.raises(ValueError):
             fit_acf(np.array([1.0, -0.5, 0.3]), 0.5)  # no window
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_sampling_interval(self, dt):
+        acf = (1.0 + 0.05 * np.arange(50.0)) ** (-1.2)
+        with pytest.raises(ValueError, match="sampling interval"):
+            fit_acf(acf, 0.5, dt=dt)
+
 
 class TestFitMoments:
     def test_analytic_round_trip_station_targets(self):
