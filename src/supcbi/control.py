@@ -106,9 +106,13 @@ def q_from_target(
 ) -> float:
     """Dimensionless target ratio q from either a discharge or abstraction target.
 
-    q = Qhat / (baseflow + E[Y_n]), or 1 - Qabs / (baseflow + E[Y_n]).
+    q = Qhat / (baseflow + E[Y_n]), or 1 - Qabs / (baseflow + E[Y_n]). A
+    discharge target must be positive; an abstraction at or above the mean
+    inflow is infeasible.
     """
     target = _target(qhat, qabs)
+    if qhat is not None and not qhat > 0.0:
+        raise ValueError(f"discharge target Qhat must be positive, got {qhat:.6g}")
     total_mean = model.baseflow + stationary_mean(model, lift)
     if not total_mean > 0.0:
         raise InfeasibleProblem("mean inflow must be positive")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1, gammaincc, gammaincinv
+from scipy.special import exp1, gammaincc, gammainccinv, gammaincinv
 
 __all__ = [
     "GammaMixingMeasure",
@@ -110,25 +110,32 @@ class TemperedStableLevy:
         """Draw jump sizes from nu restricted to [eps, inf), normalized.
 
         Exact rejection sampling: Pareto proposal with exponential tempering
-        for c1 > 0, shifted-exponential proposal for c1 = 0, and truncated
-        Gamma for c1 < 0.
+        for c1 > 0 and shifted-exponential proposal for c1 = 0. For c1 < 0 the
+        law is a Gamma(-c1, 1/c2) conditioned on z >= eps, drawn by inverse
+        CDF: with S(z) = gammaincc(-c1, c2 z), z solves S(z) = U S(eps) for U
+        uniform on (0, 1], which takes no loop however far eps is in the tail.
         """
         if eps <= 0.0:
             raise ValueError("sampling requires a positive truncation level")
+        c1, c2 = self.c1, self.c2
+        if c1 < 0.0:
+            tail = float(gammaincc(-c1, c2 * eps))
+            if tail == 0.0:
+                raise ValueError(
+                    f"Gamma tail above eps = {eps:.6g} underflows (c1 = {c1:.6g}, c2 = {c2:.6g}); "
+                    "lower the truncation level"
+                )
+            return gammainccinv(-c1, (1.0 - rng.uniform(size=size)) * tail) / c2
         out = np.empty(size)
         filled = 0
-        c1, c2 = self.c1, self.c2
         while filled < size:
             batch = max(2 * (size - filled), 64)
             if c1 > 0.0:
                 z = eps * rng.uniform(size=batch) ** (-1.0 / c1)
                 accept = rng.uniform(size=batch) < np.exp(-c2 * (z - eps))
-            elif c1 == 0.0:
+            else:
                 z = eps + rng.exponential(scale=1.0 / c2, size=batch)
                 accept = rng.uniform(size=batch) < eps / z
-            else:
-                z = rng.gamma(shape=-c1, scale=1.0 / c2, size=batch)
-                accept = z >= eps
             z = z[accept]
             take = min(z.size, size - filled)
             out[filled : filled + take] = z[:take]

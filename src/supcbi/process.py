@@ -214,12 +214,20 @@ def _component_events(
 
 
 def _decay_scan(x: np.ndarray, decay: float) -> np.ndarray:
-    """First-order recursion y[0] = 0, y[k] = decay * y[k-1] + x[k]."""
-    y = np.zeros(x.size)
-    acc = 0.0
-    for k in range(1, x.size):
-        acc = acc * decay + x[k]
-        y[k] = acc
+    """First-order recursion y[0] = 0, y[k] = decay * y[k-1] + x[k], as a doubling scan.
+
+    After the round with shift s, y[k] holds sum(decay^j x[k-j], j < 2s); each
+    round adds decay^s times the array shifted by s, then squares the factor
+    (Kogge and Stone 1973). That is about log2(size) numpy passes. The
+    factor only shrinks, so nothing overflows, and the scan stops early once
+    it underflows to 0.
+    """
+    y = x.astype(float)  # a copy; bincount of no jumps gives an int array
+    y[:1] = 0.0
+    s, f = 1, decay
+    while s < y.size and f != 0.0:
+        y[s:] += f * y[:-s]
+        s, f = 2 * s, f * f
     return y
 
 
@@ -361,12 +369,10 @@ def path_stats(path, max_lag: int = 50) -> PathStats:
 
 def write_path_csv(path: SimulatedPath, out: IO[str]) -> None:
     """CSV export, fixed column order; x and c_rate empty when uncontrolled."""
-    t, y = path.t.tolist(), path.y_total.tolist()
     if path.x is None:
-        rows = [f"{tk:.17g},{yk:.17g},,\n" for tk, yk in zip(t, y)]
+        row, columns = "%.17g,%.17g,,\n", (path.t, path.y_total)
     else:
-        rows = [
-            f"{tk:.17g},{yk:.17g},{xk:.17g},{ck:.17g}\n"
-            for tk, yk, xk, ck in zip(t, y, path.x.tolist(), path.c_rate.tolist())
-        ]
-    out.write("t,y_total,x,c_rate\n" + "".join(rows))
+        row, columns = "%.17g,%.17g,%.17g,%.17g\n", (path.t, path.y_total, path.x, path.c_rate)
+    # one % operation over the row-major values formats the whole path
+    values = np.column_stack(columns).ravel().tolist()
+    out.write("t,y_total,x,c_rate\n" + (row * path.t.size) % tuple(values))

@@ -102,9 +102,21 @@ class TestSolveCommand:
         assert "K: 0" in text
         assert "rho: arbitrary" in text
 
-    def test_infeasible_over_abstraction(self, tmp_path):
+    def test_infeasible_over_abstraction(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MODEL_CFG + "Qabs = 1e6\nKbar = 1.0\nm = 2\n")
         assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INFEASIBLE
+        assert "abstraction exceeds the mean inflow" in capsys.readouterr().err
+        assert not (tmp_path / "solution.txt").exists()
+
+    @pytest.mark.parametrize("qhat", ["-1", "0"])
+    def test_non_positive_discharge_target_is_config_error(self, tmp_path, capsys, qhat):
+        # no abstraction was asked for, so "abstraction exceeds the mean inflow" would mislead
+        cfg = write_cfg(tmp_path, MODEL_CFG + f"Qhat = {qhat}\nKbar = 1.0\nm = 2\n")
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "discharge target Qhat must be positive" in err
+        assert "abstraction" not in err
+        assert not (tmp_path / "solution.txt").exists()
 
     def test_requires_exactly_one_target(self, tmp_path):
         cfg = write_cfg(tmp_path, MODEL_CFG + "Qabs = 0.1\nQhat = 0.1\nKbar = 1.0\n")

@@ -63,6 +63,13 @@ class TestTargets:
         with pytest.raises(InfeasibleProblem):
             q_from_target(model, lift, qabs=1.5 * total)
 
+    @pytest.mark.parametrize("qhat", [-1.0, 0.0, -0.0])
+    def test_non_positive_discharge_target_rejected(self, model_lift, qhat):
+        model, lift = model_lift
+        with pytest.raises(ValueError, match="discharge target") as info:
+            q_from_target(model, lift, qhat=qhat)
+        assert not isinstance(info.value, InfeasibleProblem)
+
     def test_exactly_one_target(self, model_lift):
         model, lift = model_lift
         with pytest.raises(ValueError):

@@ -123,3 +123,24 @@ class TestTemperedStableLevy:
         expected = nu.truncated_moment(1, eps) / nu.tail_mass(eps)
         se = z.std(ddof=1) / math.sqrt(z.size)
         assert abs(z.mean() - expected) < 4.0 * se
+
+    @pytest.mark.parametrize("c1, c2", [(-0.6, 1.0), (-1.0, 0.02), (-2.5, 3.0)])
+    @pytest.mark.parametrize("eps", [1e-3, 0.5, 15.0, 25.0])
+    def test_negative_c1_sampler_is_the_conditioned_gamma(self, c1, c2, eps):
+        # the draws are Gamma(-c1, 1/c2) given z >= eps, also far in the tail:
+        # at c1 = -0.6, c2 = 1, eps = 25 the tail probability is 2.5e-12, so
+        # rejection from the full Gamma would need ~4e11 tries per draw
+        nu = TemperedStableLevy(c1=c1, c2=c2)
+        z = nu.sample_truncated(eps, 4000, np.random.default_rng(11))
+        assert np.all(z >= eps)
+        gamma = stats.gamma(-c1, scale=1.0 / c2)
+        tail = gamma.sf(eps)
+        assert stats.kstest(z, lambda v: (tail - gamma.sf(v)) / tail).pvalue > 1e-3
+        expected = nu.truncated_moment(1, eps) / nu.tail_mass(eps)
+        se = z.std(ddof=1) / math.sqrt(z.size)
+        assert abs(z.mean() - expected) < 3.0 * se
+
+    def test_negative_c1_sampler_rejects_an_underflowing_tail(self):
+        nu = TemperedStableLevy(c1=-0.6, c2=1.0)
+        with pytest.raises(ValueError, match="underflows"):
+            nu.sample_truncated(1000.0, 5, np.random.default_rng(0))

@@ -5,13 +5,17 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate, stats as sps
 
 from supcbi.lift import build_lift, lift_inv_mean
 from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
 from supcbi.process import (
     Controller,
+    SimulatedPath,
     _component_events,
+    _decay_scan,
     _exp_diff,
     SupCbiModel,
     acf_gamma,
@@ -194,6 +198,41 @@ def test_exp_diff_against_mpmath():
                 else:
                     exact = (mpmath.exp(-ma * md) - mpmath.exp(-mb * md)) / (mb - ma)
                 assert got == pytest.approx(float(exact), rel=1e-15, abs=0.0), (a, delta)
+
+
+def loop_decay_scan(x, decay):
+    # reference: the recursion as a plain step loop
+    y = np.zeros(x.size)
+    acc = 0.0
+    for k in range(1, x.size):
+        acc = acc * decay + x[k]
+        y[k] = acc
+    return y
+
+
+class TestDecayScan:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        x=st.integers(1, 5000).flatmap(
+            lambda n: arrays(np.float64, n, elements=st.floats(0.0, 1e6))
+        ),
+        decay=st.sampled_from([0.0, 5e-324, 0.5, math.exp(-1e-9), 1.0 - 2.0**-53]),
+        first=st.floats(allow_nan=True, allow_infinity=True),
+    )
+    def test_matches_step_loop(self, x, decay, first):
+        x[0] = first
+        y = _decay_scan(x, decay)
+        assert y[0] == 0.0
+        # values below 1e-300 are subnormal products whose rounding depends
+        # on the order of the multiplications; everything else agrees to 1e-12
+        np.testing.assert_allclose(y, loop_decay_scan(x, decay), rtol=1e-12, atol=1e-300)
+
+    def test_input_untouched_and_ints_accepted(self):
+        x = np.array([3.0, 1.0, 2.0])
+        assert _decay_scan(x, 0.5).tolist() == [0.0, 1.0, 2.5]
+        assert x.tolist() == [3.0, 1.0, 2.0]
+        # np.bincount of a component without jumps is an int array
+        assert _decay_scan(np.array([3, 1, 2]), 0.5).tolist() == [0.0, 1.0, 2.5]
 
 
 class TestSimulate:
@@ -389,3 +428,32 @@ class TestPathStats:
         assert lines[0] == "t,y_total,x,c_rate"
         assert lines[1].endswith(",,")  # uncontrolled: empty x and c columns
         assert len(lines) == p.t.size + 1
+
+    @pytest.mark.parametrize("controlled", [False, True])
+    def test_csv_matches_row_by_row_formatting(self, controlled):
+        model = small_model()
+        lift = build_lift(model.pi, 1)
+        ctrl = Controller(rho=0.8, u=-0.3, xhat=0.5) if controlled else None
+        p = simulate(model, lift, horizon=40.0, dt=0.5, eps=1e-2, seed=4, controller=ctrl)
+        special = [-0.0, 5e-324, 1e300, -1e300, 0.1]
+        p.y_total[: len(special)] = special
+        if controlled:
+            p.x[-len(special):] = special
+            p.c_rate[1 : len(special) + 1] = special
+        t, y = p.t.tolist(), p.y_total.tolist()
+        # reference: one f-string per row
+        if p.x is None:
+            rows = [f"{tk:.17g},{yk:.17g},,\n" for tk, yk in zip(t, y)]
+        else:
+            rows = [
+                f"{tk:.17g},{yk:.17g},{xk:.17g},{ck:.17g}\n"
+                for tk, yk, xk, ck in zip(t, y, p.x.tolist(), p.c_rate.tolist())
+            ]
+        buf = io.StringIO()
+        write_path_csv(p, buf)
+        assert buf.getvalue() == "t,y_total,x,c_rate\n" + "".join(rows)
+        assert "-0," in buf.getvalue() and "4.9406564584124654e-324" in buf.getvalue()
+        empty = SimulatedPath(t=p.t[:0], y_total=p.y_total[:0], x=None, c_rate=None)
+        buf = io.StringIO()
+        write_path_csv(empty, buf)
+        assert buf.getvalue() == "t,y_total,x,c_rate\n"
