@@ -6,6 +6,10 @@ the constrained minimizer (Balanced / Water Adding / Water Abstracting cases,
 with an optional variability bound); and residual certification of the
 quadratic backward-Kolmogorov-equation solutions the formulas rest on.
 
+Each solution is a quadratic ansatz y'ay/2 + b'y plus a constant. The residual
+certifies its closed-form a and constant (J, or K/h^2); b is solved from the
+equation's linear terms given a.
+
 The controller is closed form except for one scalar, hbar. Both of its
 roots, the cost root K(h) = Kbar and the variability root P(h) = Pbar, are
 found by one root finder: Brent's method (scipy.optimize.brentq) on a
@@ -305,48 +309,49 @@ class QuadraticAnsatz:
     constant: float  # J for the variance equation, L for the cost equation
 
 
+def _ansatz(
+    model: SupCbiModel, lift: MarkovianLift, q: float, h: float,
+    a0: np.ndarray, block: np.ndarray, lin_x: float, constant: float,
+) -> QuadraticAnsatz:
+    """The quadratic ansatz with a_00 = 1/h, a_0i = a0 and a_ij = block.
+
+    Given a, the BKE's x- and y_k-linear terms are linear in b and fix it:
+    h b_0 = lin_x + A M1 sum_i c_i (a_00 + a_0i) and r_k D (b_0 + b_k) =
+    rho b_0 + A M1 sum_i c_i (a_0k + a_ik) + B M2 r_k (a_00 + 2 a_0k + a_kk) / 2,
+    with lin_x the x-coefficient of the running cost.
+    """
+    n = lift.n
+    a = np.empty((n + 1, n + 1))
+    a[0, 0] = 1.0 / h
+    a[0, 1:] = a0
+    a[1:, 0] = a0
+    a[1:, 1:] = block
+    am1 = model.A * model.M1
+    jump_lin = np.sum(lift.c) * a[0] + lift.c @ a[1:]  # sum_i c_i (a_0j + a_ij), j = 0..n
+    b = np.empty(n + 1)
+    b[0] = (lin_x + am1 * jump_lin[0]) / h
+    diag = a[0, 0] + 2.0 * a0 + np.diagonal(block)
+    rhs = q * h * b[0] + am1 * jump_lin[1:] + 0.5 * model.B * model.M2 * lift.r * diag
+    b[1:] = rhs / (lift.r * model.D) - b[0]
+    return QuadraticAnsatz(a=a, b=b, constant=constant)
+
+
 def variance_bke_coefficients(
     model: SupCbiModel, lift: MarkovianLift, q: float, h: float, xhat: float
 ) -> QuadraticAnsatz:
     """Coefficients solving the tracking-variance BKE, with the constant J."""
     if h <= 0.0:
         raise ValueError("coefficients require h > 0")
-    n = lift.n
     D = model.D
     p = lift.r / h
-    pd1 = p * D + 1.0
-    cr = lift.c / lift.r
-
-    a = np.zeros((n + 1, n + 1))
-    a[0, 0] = 1.0 / h
-    a0 = (q - p * D) / pd1 / h
-    a[0, 1:] = a0
-    a[1:, 0] = a0
     pi_, pj_ = p[:, None], p[None, :]
-    a[1:, 1:] = (
+    block = (
         (q - pi_ * D) * (q - pj_ * D) / ((pi_ + pj_) * D)
         * (1.0 / (pj_ * D + 1.0) + 1.0 / (pi_ * D + 1.0))
         / h
     )
-
-    am1 = model.A * model.M1
-    s1 = float(np.sum(cr * p / pd1))
-    s2 = float(np.sum(cr * p))
-    b = np.zeros(n + 1)
-    b[0] = (-2.0 * xhat + (q + 1.0) * am1 * s1) / h
-    cross = h * a[1:, 1:] @ (cr * p)  # the block a[1:, 1:] carries a factor 1/h
-    rhs = (
-        -2.0 * q * xhat
-        + q * (q + 1.0) * am1 * s1
-        + 0.5 * model.B * model.M2 * (p * D + q * q) / (D * pd1)
-        + am1 * (q - p * D) / pd1 * s2
-        + am1 * cross
-    )
-    b[1:] = rhs / (lift.r * D) - b[0]
-
-    mean = stationary_mean(model, lift)
-    j_val = (xhat - q * mean) ** 2 + eval_J(model, lift, q, h)
-    return QuadraticAnsatz(a=a, b=b, constant=j_val)
+    j_val = (xhat - q * stationary_mean(model, lift)) ** 2 + eval_J(model, lift, q, h)
+    return _ansatz(model, lift, q, h, (q - p * D) / (p * D + 1.0) / h, block, -2.0 * xhat, j_val)
 
 
 def cost_bke_coefficients(
@@ -355,21 +360,12 @@ def cost_bke_coefficients(
     """Coefficients solving the control-cost BKE, with the constant L = K / h^2."""
     if h <= 0.0:
         raise ValueError("coefficients require h > 0")
-    n = lift.n
     D = model.D
     p = lift.r / h
-    pd1 = p * D + 1.0
-    cr = lift.c / lift.r
-
-    a = np.zeros((n + 1, n + 1))
-    a[0, 0] = 1.0 / h
-    a0 = -(q + p * D) / pd1 / h
-    a[0, 1:] = a0
-    a[1:, 0] = a0
     pi_, pj_ = p[:, None], p[None, :]
     pdi = pi_ * D + 1.0
     pdj = pj_ * D + 1.0
-    a[1:, 1:] = (
+    block = (
         1.0 / ((pi_ + pj_) * D)
         * (
             -(q - pi_ * D) * (q + pj_ * D) / pdj
@@ -378,24 +374,8 @@ def cost_bke_coefficients(
         )
         / h
     )
-
-    am1 = model.A * model.M1
-    s1 = float(np.sum(cr * p / pd1))
-    s2 = float(np.sum(cr * p))
-    b = np.zeros(n + 1)
-    b[0] = -am1 * (q - 1.0) / h * s1
-    cross = h * a[1:, 1:] @ (cr * p)  # the block a[1:, 1:] carries a factor 1/h
-    diag_quad = (-((q + p * D) ** 2) + (p * D + q * q) * pd1) / (D * pd1)
-    rhs = (
-        -q * (q - 1.0) * am1 * s1
-        + 0.5 * model.B * model.M2 * diag_quad
-        - am1 * (q + p * D) / pd1 * s2
-        + am1 * cross
-    )
-    b[1:] = rhs / (lift.r * D) - b[0]
-
     l_val = eval_K(model, lift, q, h) / h**2
-    return QuadraticAnsatz(a=a, b=b, constant=l_val)
+    return _ansatz(model, lift, q, h, -(q + p * D) / (p * D + 1.0) / h, block, 0.0, l_val)
 
 
 def _apply_perturbation(ansatz: QuadraticAnsatz, perturb) -> QuadraticAnsatz:

@@ -266,13 +266,13 @@ def simulate(
     if eps <= 0.0:
         raise ValueError("jump truncation eps must be positive")
     nubar = model.nu.tail_mass(eps)
-    d_eps = 1.0 - model.B * model.nu.truncated_moment(1, eps)
+    d_eps = model.truncated(eps).D
     # mean relaxation rate of the slowest component is r_1 * D, not r_1
     burn = 10.0 / (lift.r[0] * d_eps)
     if controller is not None:
         burn = max(burn, 10.0 / (controller.rho - controller.u))
     total = burn + horizon
-    expected = model.A * nubar * total / max(d_eps, 1e-12)
+    expected = model.A * nubar * total / d_eps
     if expected > max_expected_jumps:
         raise ValueError(
             f"expected jump count {expected:.3g} exceeds budget {max_expected_jumps:.3g}; "

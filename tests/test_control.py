@@ -12,6 +12,7 @@ from supcbi.control import (
     ControlProblem,
     InfeasibleProblem,
     _apply_perturbation,
+    _bke_residual,
     bke_residual_J,
     bke_residual_K,
     continuum_J_K_P,
@@ -419,21 +420,7 @@ class TestBkeResiduals:
                 assert one == fn(model, lift, 0.5, 0.1, y[None, :], perturb=perturb)
 
     def test_batch_matches_per_state_reference(self):
-        # every c1 branch, B = 0 and B > 0, m = 0..4, with and without a perturbed coefficient
-        rng = np.random.default_rng(23)
-        perturbs = [None, ("a", 0, 0, 1.01), ("a", 0, 1, 0.99), ("a", 1, 1, 1.02),
-                    ("b", 0, 0, 1.01), ("b", 1, 0, 0.98), ("const", 0, 0, 1.01)]
-        cases = itertools.product((0.4, 0.0, -0.7), (False, True), perturbs)
-        for trial, (c1, self_exciting, perturb) in enumerate(cases):
-            model = make_model(B=0.0, alpha=rng.uniform(1.2, 6.0), beta=rng.uniform(0.1, 2.0),
-                               c1=c1, c2=rng.uniform(0.5, 3.0))
-            if self_exciting:
-                model = make_model(B=rng.uniform(0.1, 0.9) / model.M1, alpha=model.pi.alpha,
-                                   beta=model.pi.beta, c1=c1, c2=model.nu.c2)
-            lift = build_lift(model.pi, trial % 5)
-            q, h = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.05, 3.0))
-            xhat = q * stationary_mean(model, lift)
-            states = rng.uniform(0.0, 5.0, size=(30, lift.n + 1))
+        for model, lift, q, h, xhat, states, perturb in _residual_cases():
             ansatz = _apply_perturbation(variance_bke_coefficients(model, lift, q, h, xhat), perturb)
             ref = _reference_residual(model, lift, q, h, ansatz, states, lambda y: (y[0] - xhat) ** 2)
             got = bke_residual_J(model, lift, q, h, states, perturb=perturb)
@@ -443,6 +430,47 @@ class TestBkeResiduals:
                 model, lift, q, h, ansatz, states, lambda y: (y[0] - q * float(np.sum(y[1:]))) ** 2)
             got = bke_residual_K(model, lift, q, h, states, perturb=perturb)
             assert got == pytest.approx(ref, rel=0.0, abs=1e-12)
+
+    def test_solved_b_matches_closed_form(self):
+        # b solved from the BKE's linear terms equals the hand-derived closed forms
+        for model, lift, q, h, xhat, _, _ in _residual_cases():
+            var_b, cost_b = _closed_form_b(model, lift, q, h, xhat)
+            for got, ref in ((variance_bke_coefficients(model, lift, q, h, xhat).b, var_b),
+                             (cost_bke_coefficients(model, lift, q, h).b, cost_b)):
+                assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.floats(1.05, 6.0),
+        beta=st.floats(1e-3, 10.0),
+        c1=st.one_of(st.floats(-0.9, -0.01), st.just(0.0), st.floats(0.01, 0.95)),
+        c2=st.floats(0.01, 10.0),
+        a=st.floats(1e-3, 10.0),
+        excitation=st.floats(0.0, 0.95),
+        m=st.integers(0, 6),
+        q=st.floats(0.05, 3.0),
+        log_h=st.floats(-3.0, 3.0),
+    )
+    def test_residuals_vanish_over_six_decades_of_h(
+        self, alpha, beta, c1, c2, a, excitation, m, q, log_h
+    ):
+        nu = TemperedStableLevy(c1=c1, c2=c2)
+        model = SupCbiModel(
+            A=a, B=excitation / levy_moment(nu, 1),
+            pi=GammaMixingMeasure(alpha=alpha, beta=beta), nu=nu,
+        )
+        lift = build_lift(model.pi, m)
+        h = 10.0**log_h
+        states = np.random.default_rng(m).uniform(0.0, 3.0, size=(20, lift.n + 1))
+        assert bke_residual_J(model, lift, q, h, states) <= 1e-8
+        # The closed-form cost a-block cancels as r_1 D / h -> 0 and as q -> 1
+        # (2e-7 at h = 3e4 r_1 D), whatever b is: there K is held to the
+        # residual of the hand-derived b.
+        cost = cost_bke_coefficients(model, lift, q, h)
+        cost.b = _closed_form_b(model, lift, q, h, 0.0)[1]
+        hand = _bke_residual(model, lift, q, h, cost, states,
+                             lambda x, ys: (x - q * np.sum(ys, axis=1)) ** 2)
+        assert bke_residual_K(model, lift, q, h, states) <= max(1e-8, 2.0 * hand)
 
     @pytest.mark.parametrize("m", [0, 3, 7])
     def test_coefficients_match_meshgrid_transcription(self, m):
@@ -465,6 +493,58 @@ class TestBkeResiduals:
         cost = cost_bke_coefficients(model, lift, q, h)
         assert np.array_equal(var.a[1:, 1:], var_block)
         assert np.array_equal(cost.a[1:, 1:], cost_block)
+
+
+def _residual_cases():
+    """Every c1 branch, B = 0 and B > 0, m = 0..4, with and without a perturbed coefficient."""
+    rng = np.random.default_rng(23)
+    perturbs = [None, ("a", 0, 0, 1.01), ("a", 0, 1, 0.99), ("a", 1, 1, 1.02),
+                ("b", 0, 0, 1.01), ("b", 1, 0, 0.98), ("const", 0, 0, 1.01)]
+    cases = itertools.product((0.4, 0.0, -0.7), (False, True), perturbs)
+    for trial, (c1, self_exciting, perturb) in enumerate(cases):
+        model = make_model(B=0.0, alpha=rng.uniform(1.2, 6.0), beta=rng.uniform(0.1, 2.0),
+                           c1=c1, c2=rng.uniform(0.5, 3.0))
+        if self_exciting:
+            model = make_model(B=rng.uniform(0.1, 0.9) / model.M1, alpha=model.pi.alpha,
+                               beta=model.pi.beta, c1=c1, c2=model.nu.c2)
+        lift = build_lift(model.pi, trial % 5)
+        q, h = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.05, 3.0))
+        xhat = q * stationary_mean(model, lift)
+        states = rng.uniform(0.0, 5.0, size=(30, lift.n + 1))
+        yield model, lift, q, h, xhat, states, perturb
+
+
+def _closed_form_b(model, lift, q, h, xhat):
+    """The hand-derived linear coefficients b of the variance and the cost ansatz."""
+    D, am1, half_bm2 = model.D, model.A * model.M1, 0.5 * model.B * model.M2
+    p = lift.r / h
+    pd1 = p * D + 1.0
+    cr = lift.c / lift.r
+    s1 = float(np.sum(cr * p / pd1))
+    s2 = float(np.sum(cr * p))
+
+    var_block = variance_bke_coefficients(model, lift, q, h, xhat).a[1:, 1:]
+    var_b0 = (-2.0 * xhat + (q + 1.0) * am1 * s1) / h
+    rhs = (
+        -2.0 * q * xhat
+        + q * (q + 1.0) * am1 * s1
+        + half_bm2 * (p * D + q * q) / (D * pd1)
+        + am1 * (q - p * D) / pd1 * s2
+        + am1 * h * var_block @ (cr * p)
+    )
+    var_b = np.concatenate([[var_b0], rhs / (lift.r * D) - var_b0])
+
+    cost_block = cost_bke_coefficients(model, lift, q, h).a[1:, 1:]
+    cost_b0 = -am1 * (q - 1.0) / h * s1
+    diag_quad = (-((q + p * D) ** 2) + (p * D + q * q) * pd1) / (D * pd1)
+    rhs = (
+        -q * (q - 1.0) * am1 * s1
+        + half_bm2 * diag_quad
+        - am1 * (q + p * D) / pd1 * s2
+        + am1 * h * cost_block @ (cr * p)
+    )
+    cost_b = np.concatenate([[cost_b0], rhs / (lift.r * D) - cost_b0])
+    return var_b, cost_b
 
 
 def _reference_residual(model, lift, q, h, ansatz, states, running_cost):

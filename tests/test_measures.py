@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special, stats
 
 from supcbi.measures import (
@@ -105,6 +107,28 @@ class TestTemperedStableLevy:
                 lambda z: math.exp(-nu.c2 * z) * z ** (-(1.0 + c1)), eps, np.inf
             )
             assert nu.tail_mass(eps) == pytest.approx(num, rel=1e-8)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        c1=st.one_of(
+            st.floats(-2.0, 0.0, exclude_min=True, exclude_max=True),
+            st.just(0.0),
+            st.floats(-16.0, -2.0, exclude_max=True).map(lambda e: 10.0**e),
+            st.floats(1e-2, 1.0, exclude_max=True),
+        ),
+        log_c2=st.floats(-2.0, 2.0),
+        log_x=st.floats(-11.0, math.log10(700.0)),
+    )
+    @example(c1=0.0127, log_c2=0.0, log_x=math.log10(700.0))  # the recurrence is 5.6e-10 off here
+    @example(c1=-5e-324, log_c2=0.0, log_x=0.0)  # gamma(-c1) overflows here
+    def test_tail_mass_against_mpmath(self, c1, log_c2, log_x):
+        # every c1 branch, with c2 * eps from 1e-11 to 700
+        c2 = 10.0**log_c2
+        eps = 10.0**log_x / c2
+        with mpmath.workdps(40):
+            exact = float(mpmath.gammainc(-c1, c2 * eps) * mpmath.mpf(c2) ** c1)
+        got = TemperedStableLevy(c1=c1, c2=c2).tail_mass(eps)
+        assert got == pytest.approx(exact, rel=1e-11, abs=0.0)
 
     def test_truncation_bias_monotone(self):
         nu = TemperedStableLevy(c1=0.4, c2=1.0)
