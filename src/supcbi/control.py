@@ -26,7 +26,7 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.special import hyperu
 
-from .lift import MarkovianLift, lift_inv_mean
+from .lift import MarkovianLift
 from .measures import inv_mean
 from .process import SupCbiModel, stationary_mean, stationary_variance
 
@@ -133,8 +133,8 @@ def eval_J(model: SupCbiModel, lift: MarkovianLift, q: float, h: float) -> float
     if h < 0.0 or q <= 0.0:
         raise ValueError("need h >= 0 and q > 0")
     rd = lift.r * model.D
-    s = float(np.sum(lift.c / lift.r * (rd + q * q * h) / (rd + h)))
-    return stationary_variance(model, lift) * s / lift_inv_mean(lift)
+    s = float(np.sum(lift.w * (rd + q * q * h) / (rd + h)))
+    return stationary_variance(model, lift) * s / lift.inv_mean
 
 
 def eval_K(model: SupCbiModel, lift: MarkovianLift, q: float, h: float) -> float:
@@ -146,8 +146,8 @@ def eval_K(model: SupCbiModel, lift: MarkovianLift, q: float, h: float) -> float
     if h < 0.0 or q <= 0.0:
         raise ValueError("need h >= 0 and q > 0")
     rd = lift.r * model.D
-    s = float(np.sum(lift.c / lift.r * rd / (rd + h)))
-    return h * h * (1.0 - q) ** 2 * stationary_variance(model, lift) * (s / lift_inv_mean(lift))
+    s = float(np.sum(lift.w * rd / (rd + h)))
+    return h * h * (1.0 - q) ** 2 * stationary_variance(model, lift) * (s / lift.inv_mean)
 
 
 def eval_P(model: SupCbiModel, lift: MarkovianLift, q: float, h: float) -> float:
@@ -155,7 +155,7 @@ def eval_P(model: SupCbiModel, lift: MarkovianLift, q: float, h: float) -> float
     if h < 0.0 or q <= 0.0:
         raise ValueError("need h >= 0 and q > 0")
     rd = lift.r * model.D
-    s = float(np.sum(lift.c / lift.r * h / (rd + h)))
+    s = float(np.sum(lift.w * h / (rd + h)))
     mean = stationary_mean(model, lift)
     return (q - 1.0) ** 2 * (mean**2 + 0.5 * model.A * model.M2 / model.D**2 * s)
 

@@ -9,7 +9,7 @@ approaches R = integral of 1/r against pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
@@ -32,27 +32,34 @@ class MarkovianLift:
     """Discretization {r_i, c_i} of the mixing measure with n >= 1 atoms.
 
     The rates are finite, positive and strictly increasing; the weights are
-    positive and sum to one.
+    positive and sum to one. The lift is immutable: r and c are read-only
+    copies of the inputs, so the per-lift constants w = c / r and
+    inv_mean = R_n = sum(w), computed once here, cannot go stale.
     """
 
     r: np.ndarray
     c: np.ndarray
+    w: np.ndarray = field(init=False, repr=False, compare=False)
+    inv_mean: float = field(init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.r.size
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.r, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+        r = np.array(self.r, dtype=float)
+        c = np.array(self.c, dtype=float)
         if r.ndim != 1 or r.size == 0 or c.shape != r.shape:
             raise ValueError("lift needs one or more rates and as many weights")
         if not np.all(np.isfinite(r)) or not np.all(r > 0.0) or np.any(np.diff(r) <= 0.0):
             raise ValueError("rates must be finite, positive, and strictly increasing")
         if not np.all(c > 0.0) or abs(c.sum() - 1.0) > 1e-14:
             raise ValueError("weights must be positive and sum to one")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "c", c)
+        w = c / r
+        for name, value in (("r", r), ("c", c), ("w", w)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "inv_mean", float(np.sum(w)))
 
 
 def build_lift(pi: GammaMixingMeasure, m: int) -> MarkovianLift:
@@ -66,7 +73,7 @@ def build_lift(pi: GammaMixingMeasure, m: int) -> MarkovianLift:
 
 def lift_inv_mean(lift: MarkovianLift) -> float:
     """Discrete inverse first moment R_n = sum(c_i / r_i)."""
-    return float(np.sum(lift.c / lift.r))
+    return lift.inv_mean
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .lift import MarkovianLift, lift_inv_mean
+from .lift import MarkovianLift
 from .measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
 
 __all__ = [
@@ -93,12 +93,12 @@ def _d_from_b(b: float, m1: float) -> float:
 
 def stationary_mean(model: SupCbiModel, lift: MarkovianLift) -> float:
     """E[Y_n] = (A*M1/D) * sum(c_i/r_i); baseflow not included."""
-    return model.A * model.M1 / model.D * lift_inv_mean(lift)
+    return model.A * model.M1 / model.D * lift.inv_mean
 
 
 def stationary_variance(model: SupCbiModel, lift: MarkovianLift) -> float:
     """Var[Y_n] = (A*M2 / (2 D^2)) * sum(c_i/r_i)."""
-    return 0.5 * model.A * model.M2 / model.D**2 * lift_inv_mean(lift)
+    return 0.5 * model.A * model.M2 / model.D**2 * lift.inv_mean
 
 
 def stationary_cumulants(model: SupCbiModel, lift: MarkovianLift) -> tuple[float, float, float, float]:
@@ -115,7 +115,7 @@ def stationary_cumulants(model: SupCbiModel, lift: MarkovianLift) -> tuple[float
     g: list[float] = []
     for j in range(4):
         g.append((a[j] + model.B * math.fsum(a[l] * g[j - l] for l in range(1, j + 1))) / model.D)
-    scale = model.A * lift_inv_mean(lift)
+    scale = model.A * lift.inv_mean
     k1, k2, k3, k4 = (scale * math.factorial(j) * g[j] for j in range(4))
     return k1, k2, k3, k4
 
@@ -132,8 +132,7 @@ def acf_lift(model: SupCbiModel, lift: MarkovianLift, tau: float) -> float:
     """Lift quadrature of the ACF: normalized sum of (c_i/r_i) exp(-D*tau*r_i)."""
     if tau < 0.0:
         raise ValueError("lag must be nonnegative")
-    w = lift.c / lift.r
-    return float(np.sum(w * np.exp(-model.D * tau * lift.r)) / np.sum(w))
+    return float(np.sum(lift.w * np.exp(-model.D * tau * lift.r))) / lift.inv_mean
 
 
 def grid_mean_variance(model: SupCbiModel, lift: MarkovianLift, n: int, dt: float) -> float:

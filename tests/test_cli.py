@@ -232,6 +232,34 @@ class TestSimulateCommand:
         assert (out1 / "stats.txt").read_bytes() == (out2 / "stats.txt").read_bytes()
 
 
+class TestRepeatedCalls:
+    """main builds its parser once per process; no call may leak into the next."""
+
+    CFG = (
+        "A = 0.8\nB = 0.0\nc1 = 0.2\nc2 = 1.0\nalpha = 2.0\nbeta = 1.0\n"
+        "baseflow = 0.0\nhorizon = 60\ndt = 1.0\neps = 0.01\n"
+    )
+
+    def test_flags_and_failures_do_not_reach_the_next_call(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.CFG)
+        bad = write_cfg(tmp_path, "alpha = 2.0\n", "bad.cfg")
+
+        def simulate_path(name, *flags):
+            out = tmp_path / name
+            assert run(["simulate", "--config", cfg, "--out", str(out), "--quiet", *flags]) == EXIT_OK
+            return (out / "path.csv").read_bytes()
+
+        assert simulate_path("flagged", "--seed", "5", "--m", "3") != simulate_path(
+            "defaults", "--seed", "0", "--m", "4"
+        )
+        assert simulate_path("after_flags") == (tmp_path / "defaults" / "path.csv").read_bytes()
+        assert run(["simulate", "--config", bad, "--out", str(tmp_path / "bad"), "--quiet"]) == EXIT_CONFIG
+        with pytest.raises(SystemExit) as usage:
+            run(["simulate", "--out", str(tmp_path / "usage")])
+        assert usage.value.code == EXIT_CONFIG
+        assert simulate_path("after_failures") == (tmp_path / "defaults" / "path.csv").read_bytes()
+
+
 class TestIdentifyCommand:
     def _series_file(self, tmp_path):
         pi = GammaMixingMeasure(alpha=2.0, beta=1.0)

@@ -77,6 +77,26 @@ class TestLiftValidation:
         assert lift_inv_mean(lift) == pytest.approx(0.25 / 0.5 + 0.25 + 0.5 / 4.0)
 
 
+class TestLiftConstants:
+    @pytest.mark.parametrize("m", [0, 3, 10])
+    def test_constants_keep_the_bits_of_the_direct_forms(self, m):
+        lift = build_lift(GammaMixingMeasure(alpha=1.8, beta=0.7), m)
+        assert lift.w.tobytes() == (lift.c / lift.r).tobytes()
+        assert lift_inv_mean(lift) == lift.inv_mean == float(np.sum(lift.c / lift.r))
+
+    def test_arrays_are_read_only_copies(self):
+        r = np.array([0.5, 1.0, 4.0])
+        c = np.array([0.25, 0.25, 0.5])
+        lift = MarkovianLift(r=r, c=c)
+        for arr in (lift.r, lift.c, lift.w):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert r.flags.writeable and c.flags.writeable
+        r[0] = 0.1
+        assert lift.r[0] == 0.5
+        assert lift.inv_mean == 0.25 / 0.5 + 0.25 + 0.5 / 4.0
+
+
 class TestConvergence:
     def test_r64_alpha2(self):
         pi = GammaMixingMeasure(alpha=2.0, beta=1.0)
