@@ -365,15 +365,14 @@ def cost_bke_coefficients(
     pi_, pj_ = p[:, None], p[None, :]
     pdi = pi_ * D + 1.0
     pdj = pj_ * D + 1.0
+    # Each half of 2q^2 - (q - p_i D)(q + p_j D)/(p_j D + 1) - (i <-> j) is
+    # D (q p_j (q - 1) + p_i (q + p_j D)) / (p_j D + 1): the O(q^2) terms
+    # cancel in closed form, not in floating point, so a stays accurate as
+    # p D -> 0 and q -> 1.
     block = (
-        1.0 / ((pi_ + pj_) * D)
-        * (
-            -(q - pi_ * D) * (q + pj_ * D) / pdj
-            - (q - pj_ * D) * (q + pi_ * D) / pdi
-            + 2.0 * q * q
-        )
-        / h
-    )
+        (q * pj_ * (q - 1.0) + pi_ * (q + pj_ * D)) / pdj
+        + (q * pi_ * (q - 1.0) + pj_ * (q + pi_ * D)) / pdi
+    ) / ((pi_ + pj_) * h)
     l_val = eval_K(model, lift, q, h) / h**2
     return _ansatz(model, lift, q, h, -(q + p * D) / (p * D + 1.0) / h, block, 0.0, l_val)
 

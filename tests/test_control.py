@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,6 @@ from supcbi.control import (
     ControlProblem,
     InfeasibleProblem,
     _apply_perturbation,
-    _bke_residual,
     bke_residual_J,
     bke_residual_K,
     continuum_J_K_P,
@@ -463,14 +463,7 @@ class TestBkeResiduals:
         h = 10.0**log_h
         states = np.random.default_rng(m).uniform(0.0, 3.0, size=(20, lift.n + 1))
         assert bke_residual_J(model, lift, q, h, states) <= 1e-8
-        # The closed-form cost a-block cancels as r_1 D / h -> 0 and as q -> 1
-        # (2e-7 at h = 3e4 r_1 D), whatever b is: there K is held to the
-        # residual of the hand-derived b.
-        cost = cost_bke_coefficients(model, lift, q, h)
-        cost.b = _closed_form_b(model, lift, q, h, 0.0)[1]
-        hand = _bke_residual(model, lift, q, h, cost, states,
-                             lambda x, ys: (x - q * np.sum(ys, axis=1)) ** 2)
-        assert bke_residual_K(model, lift, q, h, states) <= max(1e-8, 2.0 * hand)
+        assert bke_residual_K(model, lift, q, h, states) <= 1e-8
 
     @pytest.mark.parametrize("m", [0, 3, 7])
     def test_coefficients_match_meshgrid_transcription(self, m):
@@ -485,14 +478,27 @@ class TestBkeResiduals:
         )
         pdi, pdj = pi_ * D + 1.0, pj_ * D + 1.0
         cost_block = (
-            1.0 / ((pi_ + pj_) * D)
-            * (-(q - pi_ * D) * (q + pj_ * D) / pdj - (q - pj_ * D) * (q + pi_ * D) / pdi + 2.0 * q * q)
-            / h
-        )
+            (q * pj_ * (q - 1.0) + pi_ * (q + pj_ * D)) / pdj
+            + (q * pi_ * (q - 1.0) + pj_ * (q + pi_ * D)) / pdi
+        ) / ((pi_ + pj_) * h)
         var = variance_bke_coefficients(model, lift, q, h, 1.3)
         cost = cost_bke_coefficients(model, lift, q, h)
         assert np.array_equal(var.a[1:, 1:], var_block)
         assert np.array_equal(cost.a[1:, 1:], cost_block)
+
+    def test_cost_block_does_not_cancel_at_small_rate_over_h(self):
+        # r_1 D / h = 1.5e-4 and q near 1: expanding the a-block as O(q^2)
+        # terms lost 2.6e-12 of a_11 here, and the K residual read 2.6e-7
+        model = make_model(A=2.0, B=0.0, alpha=1.0625, beta=0.0039, c1=0.0, c2=1.0)
+        lift = build_lift(model.pi, 0)
+        q, h = 1.0625, 100.0
+        with mpmath.workdps(50):
+            pd, mq = mpmath.mpf(float(lift.r[0])) / h * model.D, mpmath.mpf(q)
+            exact = float((2 * mq * mq - 2 * (mq - pd) * (mq + pd) / (pd + 1)) / (2 * pd) / h)
+        assert cost_bke_coefficients(model, lift, q, h).a[1, 1] == pytest.approx(exact, rel=1e-14)
+        for seed in range(3):
+            states = np.random.default_rng(seed).uniform(0.0, 3.0, size=(20, lift.n + 1))
+            assert bke_residual_K(model, lift, q, h, states) <= 1e-8
 
 
 def _residual_cases():
