@@ -123,8 +123,11 @@ class TemperedStableLevy:
     def sample_truncated(self, eps: float, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw jump sizes from nu restricted to [eps, inf), normalized.
 
-        Exact rejection sampling: Pareto proposal with exponential tempering
-        for c1 > 0 and shifted-exponential proposal for c1 = 0. For c1 < 0 the
+        Exact rejection sampling for c1 >= 0, from whichever proposal accepts
+        more often: a Pareto proposal with exponential tempering when
+        c1 > c2 * eps, and otherwise a shifted exponential accepted with
+        probability (eps / z)^(1 + c1). Their acceptance rates are about
+        c1 log(1 / (c2 eps)) and c2 eps log(1 / (c2 eps)). For c1 < 0 the
         law is a Gamma(-c1, 1/c2) conditioned on z >= eps, drawn by inverse
         CDF: with S(z) = gammaincc(-c1, c2 z), z solves S(z) = U S(eps) for U
         uniform on (0, 1], which takes no loop however far eps is in the tail.
@@ -140,16 +143,19 @@ class TemperedStableLevy:
                     "lower the truncation level"
                 )
             return gammainccinv(-c1, (1.0 - rng.uniform(size=size)) * tail) / c2
+        pareto = c1 > c2 * eps
         out = np.empty(size)
         filled = 0
         while filled < size:
             batch = max(2 * (size - filled), 64)
-            if c1 > 0.0:
-                z = eps * rng.uniform(size=batch) ** (-1.0 / c1)
+            if pareto:
+                # a z that overflows to inf is rejected: exp(-inf) = 0
+                with np.errstate(over="ignore", divide="ignore"):
+                    z = eps * rng.uniform(size=batch) ** (-1.0 / c1)
                 accept = rng.uniform(size=batch) < np.exp(-c2 * (z - eps))
             else:
                 z = eps + rng.exponential(scale=1.0 / c2, size=batch)
-                accept = rng.uniform(size=batch) < eps / z
+                accept = rng.uniform(size=batch) < (eps / z) ** (1.0 + c1)
             z = z[accept]
             take = min(z.size, size - filled)
             out[filled : filled + take] = z[:take]

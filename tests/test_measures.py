@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -147,6 +148,26 @@ class TestTemperedStableLevy:
         expected = nu.truncated_moment(1, eps) / nu.tail_mass(eps)
         se = z.std(ddof=1) / math.sqrt(z.size)
         assert abs(z.mean() - expected) < 4.0 * se
+
+    @pytest.mark.parametrize("c1", [1e-5, 1e-3, 0.05])
+    def test_small_positive_c1_sampler_follows_the_conditional_law(self, c1):
+        # c1 = 1e-5 and 1e-3 lie below c2 * eps and take the exponential
+        # proposal; c1 = 0.05 takes the Pareto one
+        c2, eps = 1.0, 1e-2
+        z = TemperedStableLevy(c1=c1, c2=c2).sample_truncated(eps, 2000, np.random.default_rng(3))
+        assert np.all(z >= eps)
+        with mpmath.workdps(20):
+            tail = mpmath.gammainc(-c1, c2 * eps)
+            cdf = np.vectorize(lambda v: float(1 - mpmath.gammainc(-c1, c2 * v) / tail))
+            assert stats.kstest(z, cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("c1, eps", [(1e-5, 1e-2), (2e-3, 1e-3)])
+    def test_small_positive_c1_sampler_raises_no_warning(self, c1, eps):
+        # (2e-3, 1e-3) takes the Pareto proposal, whose z overflows in most draws
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = TemperedStableLevy(c1=c1, c2=1.0).sample_truncated(eps, 1000, np.random.default_rng(4))
+        assert z.size == 1000 and np.all(np.isfinite(z))
 
     @pytest.mark.parametrize("c1, c2", [(-0.6, 1.0), (-1.0, 0.02), (-2.5, 3.0)])
     @pytest.mark.parametrize("eps", [1e-3, 0.5, 15.0, 25.0])
