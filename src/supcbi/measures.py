@@ -126,8 +126,8 @@ class TemperedStableLevy:
         Exact rejection sampling for c1 >= 0, from whichever proposal accepts
         more often: a Pareto proposal with exponential tempering when
         c1 > c2 * eps, and otherwise a shifted exponential accepted with
-        probability (eps / z)^(1 + c1). Their acceptance rates are about
-        c1 log(1 / (c2 eps)) and c2 eps log(1 / (c2 eps)). For c1 < 0 the
+        probability (eps / z)^(1 + c1). For small c1 and c2 eps they accept
+        at about c1 log(1 / (c2 eps)) and c2 eps log(1 / (c2 eps)). For c1 < 0 the
         law is a Gamma(-c1, 1/c2) conditioned on z >= eps, drawn by inverse
         CDF: with S(z) = gammaincc(-c1, c2 z), z solves S(z) = U S(eps) for U
         uniform on (0, 1], which takes no loop however far eps is in the tail.
@@ -149,7 +149,7 @@ class TemperedStableLevy:
         while filled < size:
             batch = max(2 * (size - filled), 64)
             if pareto:
-                # a z that overflows to inf is rejected: exp(-inf) = 0
+                # a z that overflows to inf (or a uniform of 0) is rejected: exp(-inf) = 0
                 with np.errstate(over="ignore", divide="ignore"):
                     z = eps * rng.uniform(size=batch) ** (-1.0 / c1)
                 accept = rng.uniform(size=batch) < np.exp(-c2 * (z - eps))
