@@ -13,14 +13,17 @@ equation's linear terms given a.
 The controller is closed form except for one scalar, hbar. Both of its
 roots, the cost root K(h) = Kbar and the variability root P(h) = Pbar, are
 found by one root finder: Brent's method (scipy.optimize.brentq) on a
-doubled bracket.
+doubled bracket. The variability root does not depend on Kbar, so a Kbar
+sweep solves it once, and runs the cost root only for the Kbar at which the
+cost bound binds; `solve` is the same computation for one Kbar.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import IO, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import IO, Callable, Optional, Sequence
 
 import numpy as np
 from scipy import integrate, optimize
@@ -215,6 +218,70 @@ def solve_pbar_h(model: SupCbiModel, lift: MarkovianLift, q: float, pbar: float)
     return math.inf if h is None else h
 
 
+def _kbar_solver(problem: ControlProblem) -> Callable[[float], ControlSolution]:
+    """`solve` for any cost bound kbar, with the part that does not depend on kbar done once.
+
+    That part is q, the variability root h_var, and K(h_var). d log K / d log h
+    lies in (1, 2), so a kbar above K(h_var)(1 + 1e-9) puts the cost root above
+    h_var (1 + 5e-10), far beyond the roots' _REL_TOL: such a kbar gets the
+    variability solution without a cost root. Any other kbar solves the cost
+    root and keeps the smaller of the two roots. A failure of the variability
+    root is raised for every kbar, after the cost root, which comes first.
+    """
+    model, lift, pbar = problem.model, problem.lift, problem.pbar
+    q = q_from_target(model, lift, qhat=problem.qhat, qabs=problem.qabs)
+    var = stationary_variance(model, lift)
+    if abs(1.0 - q) <= _REL_TOL:
+        balanced = ControlSolution(
+            case_label="Balanced", q=q, hbar=0.0, rho=1.0, u=0.0, J=var, K=0.0,
+            P=0.0 if pbar is not None else None,
+            active_constraint="none", attained=True, rho_arbitrary=True,
+        )
+        return lambda kbar: balanced
+    if q > 1.0:
+        adding = ControlSolution(
+            case_label="WaterAdding", q=q, hbar=0.0, rho=q * 0.0, u=0.0, J=var, K=0.0,
+            P=p_bounds(model, lift, q)[0] if pbar is not None else None,
+            active_constraint="none", attained=False, rho_arbitrary=False,
+        )
+        return lambda kbar: adding
+
+    def abstracting(hbar: float, k: float, active: str) -> ControlSolution:
+        return ControlSolution(
+            case_label="WaterAbstracting", q=q, hbar=hbar, rho=q * hbar, u=-(1.0 - q) * hbar,
+            J=eval_J(model, lift, q, hbar), K=k,
+            P=eval_P(model, lift, q, hbar) if pbar is not None else None,
+            active_constraint=active, attained=True, rho_arbitrary=False,
+        )
+
+    h_var = math.inf  # no variability bound, or one at or above P's upper bound
+    if pbar is not None:
+        try:
+            h_var = solve_pbar_h(model, lift, q, pbar)
+        except (ValueError, RuntimeError) as exc:
+            error = exc
+
+            def failed(kbar: float) -> ControlSolution:
+                solve_hbar(model, lift, q, kbar)
+                raise error.with_traceback(None)
+
+            return failed
+    k_var = eval_K(model, lift, q, h_var) if h_var < math.inf else math.inf
+
+    @functools.cache
+    def variability() -> ControlSolution:
+        return abstracting(h_var, k_var, "variability")
+
+    def solve_kbar(kbar: float) -> ControlSolution:
+        if kbar <= k_var * (1.0 + 1e-9):
+            h_cost = solve_hbar(model, lift, q, kbar)
+            if not h_var < h_cost:
+                return abstracting(h_cost, eval_K(model, lift, q, h_cost), "cost")
+        return variability()
+
+    return solve_kbar
+
+
 def solve(problem: ControlProblem) -> ControlSolution:
     """Constrained minimizer of J per the three target regimes.
 
@@ -223,37 +290,7 @@ def solve(problem: ControlProblem) -> ControlSolution:
     0 < q < 1: h is the largest value meeting the cost bound and, when given,
     the variability bound; rho = q*h, u = -(1-q)*h.
     """
-    model, lift = problem.model, problem.lift
-    q = q_from_target(model, lift, qhat=problem.qhat, qabs=problem.qabs)
-    var = stationary_variance(model, lift)
-    if abs(1.0 - q) <= _REL_TOL:
-        return ControlSolution(
-            case_label="Balanced", q=q, hbar=0.0, rho=1.0, u=0.0, J=var, K=0.0,
-            P=0.0 if problem.pbar is not None else None,
-            active_constraint="none", attained=True, rho_arbitrary=True,
-        )
-    if q > 1.0:
-        return ControlSolution(
-            case_label="WaterAdding", q=q, hbar=0.0, rho=q * 0.0, u=0.0, J=var, K=0.0,
-            P=p_bounds(model, lift, q)[0] if problem.pbar is not None else None,
-            active_constraint="none", attained=False, rho_arbitrary=False,
-        )
-    h_cost = solve_hbar(model, lift, q, problem.kbar)
-    active = "cost"
-    hbar = h_cost
-    if problem.pbar is not None:
-        h_var = solve_pbar_h(model, lift, q, problem.pbar)
-        if h_var < h_cost:
-            hbar = h_var
-            active = "variability"
-    rho = q * hbar
-    u = -(1.0 - q) * hbar
-    return ControlSolution(
-        case_label="WaterAbstracting", q=q, hbar=hbar, rho=rho, u=u,
-        J=eval_J(model, lift, q, hbar), K=eval_K(model, lift, q, hbar),
-        P=eval_P(model, lift, q, hbar) if problem.pbar is not None else None,
-        active_constraint=active, attained=True, rho_arbitrary=False,
-    )
+    return _kbar_solver(problem)(problem.kbar)
 
 
 @dataclass
@@ -264,16 +301,24 @@ class SweepRow:
 
 
 def sweep(problem: ControlProblem, kbar_grid: Sequence[float]) -> list[SweepRow]:
-    """Solve for every kbar in the grid; per-row failures are recorded, not raised."""
+    """`solve` for every kbar in the grid; per-row failures are recorded, not raised.
+
+    The variability root is solved once for the whole grid, and the cost root
+    only for the kbar at which the cost bound binds.
+    """
+    try:
+        solve_kbar, shared_error = _kbar_solver(problem), None
+    except (ValueError, RuntimeError) as exc:
+        solve_kbar, shared_error = None, str(exc)
     rows: list[SweepRow] = []
     for kbar in kbar_grid:
         row = SweepRow(kbar=kbar)
         try:
-            sub = ControlProblem(
-                model=problem.model, lift=problem.lift, kbar=kbar,
-                qhat=problem.qhat, qabs=problem.qabs, pbar=problem.pbar,
-            )
-            row.solution = solve(sub)
+            replace(problem, kbar=kbar)  # validates the row's kbar
+            if solve_kbar is None:
+                row.error = shared_error
+            else:
+                row.solution = solve_kbar(kbar)
         except (ValueError, RuntimeError) as exc:
             row.error = str(exc)
         rows.append(row)

@@ -27,20 +27,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovianLift:
     """Discretization {r_i, c_i} of the mixing measure with n >= 1 atoms.
 
     The rates are finite, positive and strictly increasing; the weights are
     positive and sum to one. The lift is immutable: r and c are read-only
     copies of the inputs, so the per-lift constants w = c / r and
-    inv_mean = R_n = sum(w), computed once here, cannot go stale.
+    inv_mean = R_n = sum(w), computed once here, cannot go stale. Lifts
+    compare and hash by identity, since a generated __eq__ on the arrays
+    would have no single truth value.
     """
 
     r: np.ndarray
     c: np.ndarray
-    w: np.ndarray = field(init=False, repr=False, compare=False)
-    inv_mean: float = field(init=False, repr=False, compare=False)
+    w: np.ndarray = field(init=False, repr=False)
+    inv_mean: float = field(init=False, repr=False)
 
     @property
     def n(self) -> int:

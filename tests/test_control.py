@@ -362,6 +362,114 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].endswith(",,")  # no Pbar: empty P and active columns
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.floats(1.05, 6.0),
+        beta=st.floats(1e-3, 10.0),
+        c1=st.one_of(st.floats(-0.9, -0.01), st.just(0.0), st.floats(0.01, 0.95)),
+        c2=st.floats(0.01, 10.0),
+        a=st.floats(1e-3, 10.0),
+        excitation=st.floats(0.0, 0.95),
+        m=st.integers(0, 6),
+        q=st.one_of(st.floats(0.01, 0.99), st.just(1.0), st.floats(1.01, 5.0)),
+        where=st.sampled_from(["none", "below", "between", "above"]),
+        frac=st.floats(1e-6, 1.0 - 1e-6),
+        log_kbar=st.floats(-8.0, 4.0),
+    )
+    def test_rows_equal_solve_and_the_two_root_rule(
+        self, alpha, beta, c1, c2, a, excitation, m, q, where, frac, log_kbar
+    ):
+        # every row is `solve` at its kbar, and a WaterAbstracting row is the
+        # rule that solves both roots and keeps the smaller, though a sweep
+        # skips the cost root above K(h_var)(1 + 1e-9)
+        nu = TemperedStableLevy(c1=c1, c2=c2)
+        model = SupCbiModel(
+            A=a, B=excitation / levy_moment(nu, 1),
+            pi=GammaMixingMeasure(alpha=alpha, beta=beta), nu=nu,
+        )
+        lift = build_lift(model.pi, m)
+        qhat = q * (model.baseflow + stationary_mean(model, lift))
+        q = q_from_target(model, lift, qhat=qhat)
+        lo, hi = p_bounds(model, lift, q)
+        pbar = {"none": None, "below": 0.5 * lo, "between": lo + frac * (hi - lo),
+                "above": 2.0 * hi}[where]
+        if pbar is not None and not pbar > 0.0:
+            pbar = 1.0  # q = 1 has p_bounds (0, 0): every positive pbar lies above
+        grid = list(10.0 ** np.linspace(log_kbar, log_kbar + 8.0, 9)) + [-1.0, math.inf, math.nan]
+        h_var = solve_pbar_h(model, lift, q, pbar) if where == "between" and q < 1.0 else math.inf
+        if h_var < math.inf:
+            k_var = eval_K(model, lift, q, h_var)
+            grid += [k_var * (1.0 + d) for d in (-1e-9, -1e-12, 0.0, 1e-12, 1e-9, 2e-9)]
+        rows = sweep(ControlProblem(model=model, lift=lift, kbar=1.0, qhat=qhat, pbar=pbar), grid)
+        assert [row.kbar for row in rows] == grid
+        for row in rows:
+            try:
+                expected = solve(ControlProblem(
+                    model=model, lift=lift, kbar=row.kbar, qhat=qhat, pbar=pbar))
+            except (ValueError, RuntimeError) as exc:
+                assert row.solution is None and row.error == str(exc)
+                continue
+            assert row.error is None and row.solution == expected
+            if expected.case_label == "WaterAbstracting":
+                assert expected == _two_root_solution(model, lift, q, row.kbar, pbar)
+
+    def test_one_variability_root_and_cost_roots_only_where_cost_binds(self, model_lift):
+        model, lift = model_lift
+        total = model.baseflow + stationary_mean(model, lift)
+        q = 0.6
+        lo, hi = p_bounds(model, lift, q)
+        pbar = lo + 0.3 * (hi - lo)
+        h_var = solve_pbar_h(model, lift, q, pbar)
+        k_var = eval_K(model, lift, q, h_var)
+        grid = list(k_var * np.geomspace(1e-3, 1e3, 12))  # six below K(h_var), six above
+        calls = {"eval_K": 0, "eval_P": 0, "solve_hbar": 0, "solve_pbar_h": 0}
+
+        def counted(name):
+            original = getattr(control, name)
+
+            def count(*args):
+                calls[name] += 1
+                return original(*args)
+            return count
+
+        def counts(fn):
+            calls.update(dict.fromkeys(calls, 0))
+            with pytest.MonkeyPatch.context() as mp:
+                for name in calls:
+                    mp.setattr(control, name, counted(name))
+                fn()
+            return dict(calls)
+
+        root = counts(lambda: solve_pbar_h(model, lift, q, pbar))
+        cost_roots = counts(lambda: [solve_hbar(model, lift, q, k) for k in grid[:6]])
+        problem = ControlProblem(model=model, lift=lift, kbar=1.0, qhat=q * total, pbar=pbar)
+        rows = []
+        got = counts(lambda: rows.extend(sweep(problem, grid)))
+        assert [row.solution.active_constraint for row in rows] == ["cost"] * 6 + ["variability"] * 6
+        assert got["solve_pbar_h"] == 1 and got["solve_hbar"] == 6
+        # the roots' own calls, one K(h_var), and J, K, P once per distinct solution
+        assert got["eval_P"] == root["eval_P"] + 6 + 1
+        assert got["eval_K"] == cost_roots["eval_K"] + 1 + 6
+
+    def test_variability_solution_where_the_cost_root_cannot_be_bracketed(self, model_lift):
+        # K(h) grows only linearly for h far above the rates r_i D, so 200
+        # doublings from sqrt(kbar / ((1-q)^2 Var)) do not bracket kbar = 1e150:
+        # solving both roots raised "failed to bracket the cost root" there,
+        # though the variability bound binds far below
+        model, lift = model_lift
+        total = model.baseflow + stationary_mean(model, lift)
+        q = 0.6
+        lo, hi = p_bounds(model, lift, q)
+        pbar = 0.5 * (lo + hi)
+        with pytest.raises(RuntimeError, match="bracket"):
+            solve_hbar(model, lift, q, 1e150)
+        h_var = solve_pbar_h(model, lift, q, pbar)
+        for kbar in (1e150, 1e300):
+            problem = ControlProblem(model=model, lift=lift, kbar=kbar, qhat=q * total, pbar=pbar)
+            sol = solve(problem)
+            assert (sol.active_constraint, sol.hbar) == ("variability", h_var)
+            assert sweep(problem, [kbar])[0].solution == sol
+
 
 class TestBkeResiduals:
     def test_machine_precision_residuals(self, model_lift):
@@ -499,6 +607,22 @@ class TestBkeResiduals:
         for seed in range(3):
             states = np.random.default_rng(seed).uniform(0.0, 3.0, size=(20, lift.n + 1))
             assert bke_residual_K(model, lift, q, h, states) <= 1e-8
+
+
+def _two_root_solution(model, lift, q, kbar, pbar):
+    """The WaterAbstracting solution from both roots: the smaller of the cost and variability roots."""
+    hbar = h_cost = solve_hbar(model, lift, q, kbar)
+    active = "cost"
+    if pbar is not None:
+        h_var = solve_pbar_h(model, lift, q, pbar)
+        if h_var < h_cost:
+            hbar, active = h_var, "variability"
+    return control.ControlSolution(
+        case_label="WaterAbstracting", q=q, hbar=hbar, rho=q * hbar, u=-(1.0 - q) * hbar,
+        J=eval_J(model, lift, q, hbar), K=eval_K(model, lift, q, hbar),
+        P=eval_P(model, lift, q, hbar) if pbar is not None else None,
+        active_constraint=active, attained=True, rho_arbitrary=False,
+    )
 
 
 def _residual_cases():

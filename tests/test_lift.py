@@ -96,6 +96,15 @@ class TestLiftConstants:
         assert lift.r[0] == 0.5
         assert lift.inv_mean == 0.25 / 0.5 + 0.25 + 0.5 / 4.0
 
+    def test_lifts_compare_and_hash_by_identity(self):
+        # a generated __eq__ compared the arrays and raised "truth value ... ambiguous"
+        pi = GammaMixingMeasure(alpha=2.0, beta=1.0)
+        lift, twin = build_lift(pi, 2), build_lift(pi, 2)
+        assert lift == lift
+        assert (lift == twin) is False and (lift != twin) is True
+        cache = {lift: "lift", twin: "twin"}
+        assert cache[lift] == "lift" and cache[twin] == "twin"
+
 
 class TestConvergence:
     def test_r64_alpha2(self):
