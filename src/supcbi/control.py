@@ -26,11 +26,10 @@ from dataclasses import dataclass, replace
 from typing import IO, Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.special import hyperu
+from scipy import optimize
 
 from .lift import MarkovianLift
-from .measures import inv_mean
+from .measures import _scaled_upper_gamma, inv_mean
 from .process import SupCbiModel, stationary_mean, stationary_variance
 
 __all__ = [
@@ -173,15 +172,15 @@ def p_bounds(model: SupCbiModel, lift: MarkovianLift, q: float) -> tuple[float, 
 def _bracket_root(f, target: float, hi: float) -> float | None:
     """Root of an increasing f at target, with f(0) <= target: Brent's method on [0, hi].
 
-    hi is doubled until f(hi) > target; None when 200 doublings do not
-    bracket the root. The absolute tolerance is negligible, so the root is
-    found to _REL_TOL relative however small it is.
+    hi is doubled while finite until f(hi) > target; None when no finite hi
+    brackets the root or f(hi) overflows to inf, a root beyond the float range.
+    The absolute tolerance is negligible, so the root is found to _REL_TOL
+    relative however small it is.
     """
-    for _ in range(200):
-        if f(hi) > target:
-            break
-        hi *= 2.0
-    else:
+    while not (value := f(hi)) > target:
+        if (hi := 2.0 * hi) == math.inf:
+            return None
+    if value == math.inf:
         return None
     return optimize.brentq(lambda h: f(h) - target, 0.0, hi, xtol=1e-300, rtol=_REL_TOL)
 
@@ -192,7 +191,8 @@ def solve_hbar(model: SupCbiModel, lift: MarkovianLift, q: float, kbar: float) -
     K(h) = h^2 (1-q)^2 Var * S(h) is strictly increasing and S <= 1, so the
     root lies at or above h0 = sqrt(kbar / ((1-q)^2 Var)). Brent's method
     finds it on [0, hi], with hi doubled from max(h0, 1) until it brackets
-    the root, as for the variability root.
+    the root, as for the variability root; a root where K's h^2 overflows
+    (h > 1.3e154) is refused with a RuntimeError.
     """
     if not q > 0.0 or abs(1.0 - q) <= _REL_TOL:
         raise ValueError(f"root solving needs q > 0 and |1 - q| > {_REL_TOL:g}")
@@ -201,7 +201,7 @@ def solve_hbar(model: SupCbiModel, lift: MarkovianLift, q: float, kbar: float) -
     scale = (1.0 - q) ** 2 * stationary_variance(model, lift)
     h = _bracket_root(lambda h: eval_K(model, lift, q, h), kbar, max(math.sqrt(kbar / scale), 1.0))
     if h is None:
-        raise RuntimeError("failed to bracket the cost root")
+        raise RuntimeError(f"the cost root for kbar = {kbar:.6g} lies beyond the float range")
     return h
 
 
@@ -521,38 +521,21 @@ def bke_residual_K(
     )
 
 
-def _resolvent_ratio(alpha: float, z: float) -> float:
-    """T(s)/R = (alpha-1) z^(alpha-1) U(alpha, alpha, z), z = s/beta > 0.
-
-    For larger alpha (integer alpha from 16, for one) hyperu returns nan at
-    small and moderate z, and z^(alpha-1) can overflow at large z; there the
-    equivalent Laplace form ((alpha-1)/alpha) * integral over u > 0 of
-    exp(-z u/alpha) (1 + u/alpha)^(-alpha) du is integrated instead, which
-    decays fast for large alpha.
-    """
-    with np.errstate(all="ignore"):
-        ratio = (alpha - 1.0) * z ** (alpha - 1.0) * float(hyperu(alpha, alpha, z))
-    if math.isfinite(ratio):
-        return ratio
-    val, _ = integrate.quad(
-        lambda u: math.exp(-z * u / alpha - alpha * math.log1p(u / alpha)),
-        0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200,
-    )
-    return (alpha - 1.0) / alpha * val
-
-
 def continuum_J_K_P(model: SupCbiModel, q: float, h: float) -> tuple[float, float, float]:
     """Exact m -> infinity limits of J, K and P, from their measure-integral forms.
 
     All three reduce to T(s) = integral of pi(dr) / (r + s) at s = h/D, which
     for the Gamma measure is s^(alpha-1) U(alpha, alpha, s/beta) / beta^alpha
-    (U the confluent hypergeometric function of the second kind); T/R tends to
-    1 as h -> 0, R being the inverse first moment.
+    (U the confluent hypergeometric function of the second kind). By DLMF
+    13.6.6 and 8.19.1, T/R = c z^c e^z Gamma(-c, z) with c = alpha - 1 and
+    z = s/beta (R the inverse first moment; T/R -> 1 as h -> 0), which
+    `_scaled_upper_gamma` gives to 1e-15 relative for alpha <= 60, z <= 1e6.
     """
     if h < 0.0 or q <= 0.0:
         raise ValueError("need h >= 0 and q > 0")
     pi = model.pi
-    ratio = 1.0 if h == 0.0 else _resolvent_ratio(pi.alpha, h / (model.D * pi.beta))
+    c = pi.alpha - 1.0
+    ratio = 1.0 if h == 0.0 else c * _scaled_upper_gamma(c, h / (model.D * pi.beta))
     r_exact = inv_mean(pi)
     mean = model.A * model.M1 / model.D * r_exact
     var = 0.5 * model.A * model.M2 / model.D**2 * r_exact

@@ -5,8 +5,9 @@ reversion rates; its quantiles are beta times the inverse regularized lower
 incomplete gamma function (scipy.special.gammaincinv). The tempered stable
 measure nu(dz) = exp(-c2 z) z^(-(1+c1)) dz drives the jumps; its moments have
 the closed form M_k = Gamma(k - c1) * c2^(c1 - k), and its tails above a
-truncation level follow from the upper incomplete gamma function (by
-quadrature where its recurrence for c1 > 0 would cancel).
+truncation level follow from the upper incomplete gamma function Gamma(-c, x).
+Where scipy's functions would cancel or overflow, one integral evaluates it,
+`_scaled_upper_gamma`, for the tail mass and for `control.continuum_J_K_P`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import exp1, gammaincc, gammainccinv, gammaincinv
+from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 
 __all__ = [
     "GammaMixingMeasure",
@@ -91,8 +92,13 @@ class TemperedStableLevy:
         return full * float(gammaincc(k - self.c1, self.c2 * eps))
 
     def truncation_bias(self, eps: float) -> float:
-        """Dropped first-moment mass: integral of z nu(dz) over (0, eps)."""
-        return levy_moment(self, 1) - self.truncated_moment(1, eps)
+        """Dropped first-moment mass: integral of z nu(dz) over (0, eps).
+
+        M1 times the regularized lower gamma function; M1 - M1(eps) would cancel.
+        """
+        if eps < 0.0:
+            raise ValueError("truncation level must be nonnegative")
+        return levy_moment(self, 1) * float(gammainc(1.0 - self.c1, self.c2 * eps))
 
     def tail_mass(self, eps: float) -> float:
         """Total jump intensity above eps: integral of nu(dz) over [eps, inf)."""
@@ -108,17 +114,8 @@ class TemperedStableLevy:
             return c2**c1 * (x**-c1 * math.exp(-x) - upper) / c1
         if c1 <= -1e-2:
             return c2**c1 * math.gamma(-c1) * float(gammaincc(-c1, x))
-        if c1 == 0.0:
-            return float(exp1(x))
-        # |c1| < 1e-2, or a far tail: with z = x e^v, Gamma(-c1, x) = x^-c1 e^-x
-        # times the integral over v > 0 of exp(-c1 v - x expm1(v)). The integrand
-        # is positive, so nothing cancels (and gamma(-c1) cannot overflow), and it
-        # is below exp(-750) beyond v = log1p(750 / x).
-        integral, _ = integrate.quad(
-            lambda v: math.exp(-c1 * v - x * math.expm1(v)),
-            0.0, math.log1p(750.0 / x), epsabs=0.0, epsrel=1e-13, limit=200,
-        )
-        return c2**c1 * x**-c1 * math.exp(-x) * integral
+        # |c1| < 1e-2 (c1 = 0 included), or a far tail
+        return c2**c1 * x**-c1 * math.exp(-x) * _scaled_upper_gamma(c1, x)
 
     def sample_truncated(self, eps: float, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw jump sizes from nu restricted to [eps, inf), normalized.
@@ -168,6 +165,19 @@ def levy_moment(nu: TemperedStableLevy, k: int) -> float:
     _check_moment_order(k)
     a = k - nu.c1
     return math.gamma(a) * nu.c2 ** (nu.c1 - k)
+
+
+def _scaled_upper_gamma(c: float, x: float) -> float:
+    """x^c e^x Gamma(-c, x) for x > 0 and c > -1e-2, to about 1e-15 relative.
+
+    With z = x e^v, it is the integral over v > 0 of exp(-c v - x expm1(v)):
+    positive, so nothing cancels (and gamma(-c) cannot overflow), and below
+    exp(-750) beyond v = log1p(750 / x).
+    """
+    return integrate.quad(
+        lambda v: math.exp(-c * v - x * math.expm1(v)),
+        0.0, math.log1p(750.0 / x), epsabs=0.0, epsrel=1e-13, limit=200,
+    )[0]
 
 
 def _check_moment_order(k: int) -> None:

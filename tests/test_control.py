@@ -1,11 +1,12 @@
 import io
 import itertools
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, stats
 
 from supcbi import control
@@ -452,23 +453,49 @@ class TestSweep:
         assert got["eval_K"] == cost_roots["eval_K"] + 1 + 6
 
     def test_variability_solution_where_the_cost_root_cannot_be_bracketed(self, model_lift):
-        # K(h) grows only linearly for h far above the rates r_i D, so 200
-        # doublings from sqrt(kbar / ((1-q)^2 Var)) do not bracket kbar = 1e150:
-        # solving both roots raised "failed to bracket the cost root" there,
-        # though the variability bound binds far below
+        # K(h) grows only linearly for h far above the rates r_i D, so the cost
+        # root for kbar = 1e150 lies near h = 2.6e151, and for kbar = 1e300 it
+        # lies beyond the float range, where K's h^2 overflows; the variability
+        # bound binds far below either, and no cost root is needed for it
         model, lift = model_lift
         total = model.baseflow + stationary_mean(model, lift)
         q = 0.6
         lo, hi = p_bounds(model, lift, q)
         pbar = 0.5 * (lo + hi)
-        with pytest.raises(RuntimeError, match="bracket"):
-            solve_hbar(model, lift, q, 1e150)
+        h_cost = solve_hbar(model, lift, q, 1e150)
+        assert eval_K(model, lift, q, h_cost) == pytest.approx(1e150, rel=1e-12)
+        with pytest.raises(RuntimeError, match="float range"):
+            solve_hbar(model, lift, q, 1e300)
         h_var = solve_pbar_h(model, lift, q, pbar)
         for kbar in (1e150, 1e300):
             problem = ControlProblem(model=model, lift=lift, kbar=kbar, qhat=q * total, pbar=pbar)
             sol = solve(problem)
             assert (sol.active_constraint, sol.hbar) == ("variability", h_var)
             assert sweep(problem, [kbar])[0].solution == sol
+
+    def test_cost_root_up_to_the_float_range_and_refused_beyond(self, model_lift):
+        # doubling hi stops only at the float range, so every cost root below
+        # it is found; K forms h^2, which overflows above h = 1.34e154, so a
+        # root beyond that is refused rather than placed on the overflow edge
+        model, lift = model_lift
+        total = model.baseflow + stationary_mean(model, lift)
+        q = 0.6
+        problem = ControlProblem(model=model, lift=lift, kbar=1.0, qhat=q * total)
+        for kbar in (1e100, 1e120, 1e150):
+            h = solve_hbar(model, lift, q, kbar)
+            assert eval_K(model, lift, q, h) == pytest.approx(kbar, rel=1e-12)
+            sol = solve(replace(problem, kbar=kbar))
+            assert (sol.active_constraint, sol.hbar) == ("cost", h)
+        huge = (1e200, 1e300)
+        for kbar in huge:
+            with pytest.raises(RuntimeError, match="float range"):
+                solve_hbar(model, lift, q, kbar)
+            with pytest.raises(RuntimeError, match="float range"):
+                solve(replace(problem, kbar=kbar))
+        rows = sweep(problem, [1e150, *huge])
+        assert rows[0].solution.active_constraint == "cost"
+        for row in rows[1:]:
+            assert row.solution is None and "float range" in row.error
 
 
 class TestBkeResiduals:
@@ -734,6 +761,35 @@ class TestContinuum:
             for h in (1e-3, 0.05, 0.8, 20.0, 1e3):
                 exact = continuum_J_K_P(model, q, h)
                 assert exact == pytest.approx(_quadrature_J_K_P(model, q, h), rel=1e-8)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        log_c=st.floats(-6.0, math.log10(59.0)),
+        log_z=st.floats(-12.0, 6.0),
+        q=st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 3.0)),
+    )
+    @example(log_c=math.log10(0.05), log_z=math.log10(17.0), q=0.6)  # hyperu was 6.1e-7 off
+    # alpha = 16 + 4e-15: hyperu gave U = -63.7 here (nan at alpha = 16)
+    @example(log_c=math.log10(15.0), log_z=0.0, q=0.6)
+    def test_against_mpmath(self, log_c, log_z, q):
+        # alpha = 1 + c, log-spaced near 1; T/R = c z^c e^z Gamma(-c, z) at z = h / (D beta)
+        model = make_model(alpha=1.0 + 10.0**log_c)
+        pi = model.pi
+        h = 10.0**log_z * model.D * pi.beta
+        with mpmath.workdps(50):
+            c = mpmath.mpf(pi.alpha) - 1
+            z = mpmath.mpf(h) / (mpmath.mpf(model.D) * mpmath.mpf(pi.beta))
+            ratio = c * z**c * mpmath.exp(z) * mpmath.gammainc(-c, z)
+            r_exact = 1 / (mpmath.mpf(pi.beta) * c)
+            mean = mpmath.mpf(model.A) * model.M1 / model.D * r_exact
+            var = mpmath.mpf(0.5) * model.A * model.M2 / mpmath.mpf(model.D) ** 2 * r_exact
+            mq, mh = mpmath.mpf(q), mpmath.mpf(h)
+            exact = [
+                float(var * (1 + (mq * mq - 1) * (1 - ratio))),
+                float(mh * mh * (1 - mq) ** 2 * var * ratio),
+                float((mq - 1) ** 2 * (mean**2 + var * (1 - ratio))),
+            ]
+        assert list(continuum_J_K_P(model, q, h)) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_uncontrolled_limit(self):
         model = make_model()

@@ -131,12 +131,37 @@ class TestTemperedStableLevy:
         got = TemperedStableLevy(c1=c1, c2=c2).tail_mass(eps)
         assert got == pytest.approx(exact, rel=1e-11, abs=0.0)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        c1=st.one_of(
+            st.floats(-2.0, 0.0, exclude_min=True, exclude_max=True),
+            st.just(0.0),
+            st.floats(-16.0, -2.0, exclude_max=True).map(lambda e: 10.0**e),
+            st.floats(1e-2, 1.0, exclude_max=True),
+        ),
+        log_c2=st.floats(-2.0, 2.0),
+        log_x=st.floats(-12.0, 1.0),
+    )
+    # M1 - M1(eps) was 3.6e-3 off here
+    @example(c1=-0.6, log_c2=math.log10(4.4e-3), log_x=math.log10(4.4e-9))
+    def test_truncation_bias_against_mpmath(self, c1, log_c2, log_x):
+        # every c1 branch, with c2 * eps from 1e-12 to 10
+        c2 = 10.0**log_c2
+        eps = 10.0**log_x / c2
+        with mpmath.workdps(40):
+            mc1, mc2 = mpmath.mpf(c1), mpmath.mpf(c2)
+            exact = float(mpmath.gammainc(1 - mc1, 0, mc2 * eps) * mc2 ** (mc1 - 1))
+        got = TemperedStableLevy(c1=c1, c2=c2).truncation_bias(eps)
+        assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
+
     def test_truncation_bias_monotone(self):
         nu = TemperedStableLevy(c1=0.4, c2=1.0)
         biases = [nu.truncation_bias(eps) for eps in (1e-1, 1e-2, 1e-3, 1e-4)]
         assert all(b > 0.0 for b in biases)
         assert biases == sorted(biases, reverse=True)
         assert nu.truncation_bias(0.0) == pytest.approx(0.0, abs=1e-15)
+        with pytest.raises(ValueError):
+            nu.truncation_bias(-1e-3)
 
     @pytest.mark.parametrize("c1", [-0.5, 0.0, 0.3])
     def test_sampler_mean_matches_truncated_density(self, c1):
