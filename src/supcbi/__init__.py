@@ -30,7 +30,7 @@ from .identify import (
     fit_moments,
     read_series_csv,
 )
-from .lift import MarkovianLift, build_lift, convergence_report, lift_inv_mean
+from .lift import MarkovianLift, build_lift, convergence_report
 from .measures import (
     GammaMixingMeasure,
     TemperedStableLevy,
@@ -79,7 +79,6 @@ __all__ = [
     "fit_moments",
     "inv_mean",
     "levy_moment",
-    "lift_inv_mean",
     "p_bounds",
     "path_stats",
     "pi_quantile",

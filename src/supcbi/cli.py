@@ -54,10 +54,14 @@ class ConfigError(ValueError):
 
 
 _MODEL_KEYS = {"A", "B", "D", "c1", "c2", "alpha", "beta", "Dbeta", "baseflow", "m"}
+# a multi-site sweep reads the grid keys from its own config only, and passes
+# the site settings from it to the sites that leave them unset
+_GRID_KEYS = {"Kbar_grid", "sites_dir"}
+_SITE_SETTINGS = {"Qhat", "Qabs", "Pbar"}
 _KEYS = {
     "lift": {"alpha", "beta", "Dbeta", "D", "m", "m_min", "m_max"},
     "solve": _MODEL_KEYS | {"Qhat", "Qabs", "Kbar", "Pbar"},
-    "sweep": _MODEL_KEYS | {"Qhat", "Qabs", "Pbar", "Kbar_grid", "sites_dir"},
+    "sweep": _MODEL_KEYS | _SITE_SETTINGS | _GRID_KEYS,
     "simulate": _MODEL_KEYS | {"horizon", "dt", "eps", "seed", "rho", "u", "xhat"},
     "identify": {"series", "D", "max_lag", "mode", "m", "restarts", "seed"},
     "verify": _MODEL_KEYS | {"horizon", "dt", "eps", "seed", "perturb", "states", "draws"},
@@ -268,6 +272,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _multi_site_sweep(
     args: argparse.Namespace, config: dict[str, str], grid: list[float], out: Path
 ) -> int:
+    """One sweep per site config in sites_dir, and each Kbar's sites of least and most J.
+
+    A key the sweep would ignore is a config error: a model key in the
+    global config, or a grid key in a site config.
+    """
+    if unused := sorted(config.keys() - _GRID_KEYS - _SITE_SETTINGS):
+        raise ConfigError(f"key {unused[0]!r} has no effect on a multi-site sweep; set it per site")
     sites_dir = Path(config["sites_dir"])
     site_paths = sorted(sites_dir.glob("*.cfg"))
     if not site_paths:
@@ -276,6 +287,8 @@ def _multi_site_sweep(
     for path in site_paths:
         site = path.stem
         site_config = _parse_config(path, "sweep")
+        if unused := sorted(site_config.keys() & _GRID_KEYS):
+            raise ConfigError(f"{path}: key {unused[0]!r} has no effect in a site config")
         # the global Pbar and target fill only what the site leaves unset;
         # Qhat and Qabs are two forms of one setting
         for keys in (("Pbar",), ("Qhat", "Qabs")):
@@ -288,17 +301,9 @@ def _multi_site_sweep(
     with open(out / "multisite.csv", "w", newline="\n") as fh:
         fh.write("Kbar,argmin_site,argmax_site\n")
         for idx, kbar in enumerate(grid):
-            best = worst = ""
-            best_j = math.inf
-            worst_j = -math.inf
-            for site, rows in per_site.items():
-                sol = rows[idx].solution
-                if sol is None:
-                    continue
-                if sol.J < best_j:
-                    best, best_j = site, sol.J
-                if sol.J > worst_j:
-                    worst, worst_j = site, sol.J
+            js = {site: rows[idx].solution.J
+                  for site, rows in per_site.items() if rows[idx].solution is not None}
+            best, worst = min(js, key=js.get, default=""), max(js, key=js.get, default="")
             fh.write(f"{kbar:.17g},{best},{worst}\n")
     _say(args, f"wrote {len(per_site)} site sweeps and multisite.csv to {out}")
     return EXIT_OK

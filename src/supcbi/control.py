@@ -221,30 +221,24 @@ def solve_pbar_h(model: SupCbiModel, lift: MarkovianLift, q: float, pbar: float)
 def _kbar_solver(problem: ControlProblem) -> Callable[[float], ControlSolution]:
     """`solve` for any cost bound kbar, with the part that does not depend on kbar done once.
 
-    That part is q, the variability root h_var, and K(h_var). d log K / d log h
+    That part is q, the variability root h_var, and K(h_var); an unattainable
+    pbar raises here, for every kbar, before any cost root. d log K / d log h
     lies in (1, 2), so a kbar above K(h_var)(1 + 1e-9) puts the cost root above
     h_var (1 + 5e-10), far beyond the roots' _REL_TOL: such a kbar gets the
     variability solution without a cost root. Any other kbar solves the cost
-    root and keeps the smaller of the two roots. A failure of the variability
-    root is raised for every kbar, after the cost root, which comes first.
+    root and keeps the smaller of the two roots.
     """
     model, lift, pbar = problem.model, problem.lift, problem.pbar
     q = q_from_target(model, lift, qhat=problem.qhat, qabs=problem.qabs)
-    var = stationary_variance(model, lift)
-    if abs(1.0 - q) <= _REL_TOL:
-        balanced = ControlSolution(
-            case_label="Balanced", q=q, hbar=0.0, rho=1.0, u=0.0, J=var, K=0.0,
-            P=0.0 if pbar is not None else None,
-            active_constraint="none", attained=True, rho_arbitrary=True,
+    balanced = abs(1.0 - q) <= _REL_TOL
+    if balanced or q > 1.0:
+        uncontrolled = ControlSolution(
+            case_label="Balanced" if balanced else "WaterAdding", q=q, hbar=0.0,
+            rho=1.0 if balanced else 0.0, u=0.0, J=stationary_variance(model, lift), K=0.0,
+            P=None if pbar is None else (0.0 if balanced else p_bounds(model, lift, q)[0]),
+            active_constraint="none", attained=balanced, rho_arbitrary=balanced,
         )
-        return lambda kbar: balanced
-    if q > 1.0:
-        adding = ControlSolution(
-            case_label="WaterAdding", q=q, hbar=0.0, rho=q * 0.0, u=0.0, J=var, K=0.0,
-            P=p_bounds(model, lift, q)[0] if pbar is not None else None,
-            active_constraint="none", attained=False, rho_arbitrary=False,
-        )
-        return lambda kbar: adding
+        return lambda kbar: uncontrolled
 
     def abstracting(hbar: float, k: float, active: str) -> ControlSolution:
         return ControlSolution(
@@ -254,18 +248,7 @@ def _kbar_solver(problem: ControlProblem) -> Callable[[float], ControlSolution]:
             active_constraint=active, attained=True, rho_arbitrary=False,
         )
 
-    h_var = math.inf  # no variability bound, or one at or above P's upper bound
-    if pbar is not None:
-        try:
-            h_var = solve_pbar_h(model, lift, q, pbar)
-        except (ValueError, RuntimeError) as exc:
-            error = exc
-
-            def failed(kbar: float) -> ControlSolution:
-                solve_hbar(model, lift, q, kbar)
-                raise error.with_traceback(None)
-
-            return failed
+    h_var = math.inf if pbar is None else solve_pbar_h(model, lift, q, pbar)
     k_var = eval_K(model, lift, q, h_var) if h_var < math.inf else math.inf
 
     @functools.cache
@@ -288,7 +271,8 @@ def solve(problem: ControlProblem) -> ControlSolution:
     q = 1 (to _REL_TOL): no control needed; u = 0, rho arbitrary (reported as 1).
     q > 1: the infimum Var[Y_n] is approached but not attained (h -> 0).
     0 < q < 1: h is the largest value meeting the cost bound and, when given,
-    the variability bound; rho = q*h, u = -(1-q)*h.
+    the variability bound; rho = q*h, u = -(1-q)*h. A pbar below P's lower
+    bound is infeasible whatever the kbar.
     """
     return _kbar_solver(problem)(problem.kbar)
 
@@ -307,21 +291,17 @@ def sweep(problem: ControlProblem, kbar_grid: Sequence[float]) -> list[SweepRow]
     only for the kbar at which the cost bound binds.
     """
     try:
-        solve_kbar, shared_error = _kbar_solver(problem), None
+        solve_kbar = _kbar_solver(problem)
     except (ValueError, RuntimeError) as exc:
-        solve_kbar, shared_error = None, str(exc)
+        def solve_kbar(kbar: float, error: Exception = exc) -> ControlSolution:
+            raise error.with_traceback(None)
     rows: list[SweepRow] = []
     for kbar in kbar_grid:
-        row = SweepRow(kbar=kbar)
         try:
             replace(problem, kbar=kbar)  # validates the row's kbar
-            if solve_kbar is None:
-                row.error = shared_error
-            else:
-                row.solution = solve_kbar(kbar)
+            rows.append(SweepRow(kbar, solution=solve_kbar(kbar)))
         except (ValueError, RuntimeError) as exc:
-            row.error = str(exc)
-        rows.append(row)
+            rows.append(SweepRow(kbar, error=str(exc)))
     return rows
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "MarkovianLift",
     "ConvergenceRow",
     "build_lift",
-    "lift_inv_mean",
     "convergence_report",
     "write_lift_csv",
     "format_convergence_table",
@@ -73,11 +72,6 @@ def build_lift(pi: GammaMixingMeasure, m: int) -> MarkovianLift:
     return MarkovianLift(r=pi_quantile(pi, levels), c=np.full(n, 1.0 / n))
 
 
-def lift_inv_mean(lift: MarkovianLift) -> float:
-    """Discrete inverse first moment R_n = sum(c_i / r_i)."""
-    return lift.inv_mean
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
     n: int
@@ -97,7 +91,7 @@ def convergence_report(
     rows: list[ConvergenceRow] = []
     prev_err: float | None = None
     for m in range(m_min, m_max + 1):
-        r_n = lift_inv_mean(build_lift(pi, m))
+        r_n = build_lift(pi, m).inv_mean
         err = (r_exact - r_n) / r_exact
         rate = math.log2(prev_err / err) if prev_err is not None and err > 0.0 else None
         rows.append(ConvergenceRow(n=2**m, r_n=r_n, r_exact=r_exact, rel_error=err, rate=rate))

@@ -36,6 +36,8 @@ __all__ = [
     "write_path_csv",
 ]
 
+_MAX_EXPECTED_JUMPS = 2e7  # `simulate` refuses a path expected to draw more jumps
+
 
 class SupCbiModel:
     """Full process parameters (A, B, pi, nu, baseflow) with derived moments.
@@ -251,7 +253,6 @@ def simulate(
     seed: int,
     controller: Controller | None = None,
     replicate: int = 0,
-    max_expected_jumps: float = 2e7,
 ) -> SimulatedPath:
     """Simulate the lifted supCBI system, optionally with the static controller.
 
@@ -272,9 +273,9 @@ def simulate(
         burn = max(burn, 10.0 / (controller.rho - controller.u))
     total = burn + horizon
     expected = model.A * nubar * total / d_eps
-    if expected > max_expected_jumps:
+    if expected > _MAX_EXPECTED_JUMPS:
         raise ValueError(
-            f"expected jump count {expected:.3g} exceeds budget {max_expected_jumps:.3g}; "
+            f"expected jump count {expected:.3g} exceeds budget {_MAX_EXPECTED_JUMPS:.3g}; "
             "raise eps or shorten the horizon"
         )
     rng = np.random.default_rng((seed, replicate))

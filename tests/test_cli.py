@@ -144,6 +144,14 @@ class TestSolveCommand:
         assert "not a finite number" in capsys.readouterr().err
         assert not (tmp_path / "solution.txt").exists()
 
+    def test_unattainable_pbar_is_infeasible_whatever_the_kbar(self, tmp_path, capsys):
+        # P >= (1-q)^2 E[Y]^2 = Qabs^2 = 0.04; the cost root for Kbar = 1e300 lies
+        # beyond the float range, but the infeasible Pbar is the cause to report
+        cfg = write_cfg(tmp_path, MODEL_CFG + "m = 2\nQabs = 0.2\nPbar = 0.01\nKbar = 1e300\n")
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INFEASIBLE
+        assert "below the attainable minimum" in capsys.readouterr().err
+        assert not (tmp_path / "solution.txt").exists()
+
     def test_water_abstracting_output(self, tmp_path):
         cfg = write_cfg(tmp_path, MODEL_CFG + "Qabs = 0.2\nKbar = 0.01\nm = 2\nPbar = 1.0\n")
         assert run(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
@@ -199,6 +207,24 @@ class TestSweepCommand:
             out = tmp_path / site
             assert run(["sweep", "--config", single, "--out", str(out), "--quiet"]) == EXIT_OK
             assert (tmp_path / f"sweep_{site}.csv").read_bytes() == (out / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("where, line", [
+        ("global", "A = 99"), ("global", "m = 12"),
+        ("site", "Kbar_grid = 0.5"), ("site", "sites_dir = elsewhere"),
+    ])
+    def test_multi_site_rejects_keys_it_would_ignore(self, tmp_path, capsys, where, line):
+        # a multi-site sweep reads the model from each site, and the grid and
+        # sites_dir from the global config only
+        sites = tmp_path / "sites"
+        sites.mkdir()
+        site_cfg = MODEL_CFG + "m = 2\nQhat = 0.4\n"
+        (sites / "a.cfg").write_text(site_cfg + (line + "\n" if where == "site" else ""))
+        (sites / "b.cfg").write_text(site_cfg)
+        cfg = write_cfg(tmp_path, f"Kbar_grid = 0.001,0.01\nsites_dir = {sites}\n"
+                        + (line + "\n" if where == "global" else ""))
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_CONFIG
+        assert repr(line.split(" = ")[0]) in capsys.readouterr().err
+        assert not (tmp_path / "multisite.csv").exists()
 
 
 class TestSimulateCommand:

@@ -452,6 +452,25 @@ class TestSweep:
         assert got["eval_P"] == root["eval_P"] + 6 + 1
         assert got["eval_K"] == cost_roots["eval_K"] + 1 + 6
 
+    def test_unattainable_pbar_is_every_rows_error_without_cost_roots(self, model_lift):
+        # the variability bound fails for every kbar, so no cost root is solved,
+        # and kbar = 1e300, whose cost root lies beyond the float range, reports
+        # the infeasible pbar too
+        model, lift = model_lift
+        total = model.baseflow + stationary_mean(model, lift)
+        q = 0.6
+        problem = ControlProblem(model=model, lift=lift, kbar=1e300, qhat=q * total,
+                                 pbar=0.5 * p_bounds(model, lift, q)[0])
+        with pytest.raises(InfeasibleProblem, match="attainable minimum") as raised:
+            solve(problem)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(control, "solve_hbar", lambda *args: calls.append(args))
+            rows = sweep(problem, [1e-3, 1e-2, 1e-1, 1e300])
+        assert calls == []
+        assert [row.error for row in rows] == [str(raised.value)] * 4
+        assert all(row.solution is None for row in rows)
+
     def test_variability_solution_where_the_cost_root_cannot_be_bracketed(self, model_lift):
         # K(h) grows only linearly for h far above the rates r_i D, so the cost
         # root for kbar = 1e150 lies near h = 2.6e151, and for kbar = 1e300 it

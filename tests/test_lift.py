@@ -9,7 +9,6 @@ from supcbi.lift import (
     build_lift,
     convergence_report,
     format_convergence_table,
-    lift_inv_mean,
     write_lift_csv,
 )
 from supcbi.measures import GammaMixingMeasure, inv_mean, pi_quantile
@@ -50,7 +49,7 @@ class TestBuildLift:
         base = build_lift(GammaMixingMeasure(alpha=2.2, beta=1.0), 4)
         scaled = build_lift(GammaMixingMeasure(alpha=2.2, beta=0.25), 4)
         assert scaled.r == pytest.approx(0.25 * base.r, rel=1e-9)
-        assert lift_inv_mean(scaled) == pytest.approx(4.0 * lift_inv_mean(base), rel=1e-9)
+        assert scaled.inv_mean == pytest.approx(4.0 * base.inv_mean, rel=1e-9)
 
 
 class TestLiftValidation:
@@ -74,7 +73,7 @@ class TestLiftValidation:
     def test_size_need_not_be_a_power_of_two(self):
         lift = MarkovianLift(r=np.array([0.5, 1.0, 4.0]), c=np.array([0.25, 0.25, 0.5]))
         assert lift.n == 3
-        assert lift_inv_mean(lift) == pytest.approx(0.25 / 0.5 + 0.25 + 0.5 / 4.0)
+        assert lift.inv_mean == pytest.approx(0.25 / 0.5 + 0.25 + 0.5 / 4.0)
 
 
 class TestLiftConstants:
@@ -82,7 +81,7 @@ class TestLiftConstants:
     def test_constants_keep_the_bits_of_the_direct_forms(self, m):
         lift = build_lift(GammaMixingMeasure(alpha=1.8, beta=0.7), m)
         assert lift.w.tobytes() == (lift.c / lift.r).tobytes()
-        assert lift_inv_mean(lift) == lift.inv_mean == float(np.sum(lift.c / lift.r))
+        assert lift.inv_mean == float(np.sum(lift.c / lift.r))
 
     def test_arrays_are_read_only_copies(self):
         r = np.array([0.5, 1.0, 4.0])
@@ -109,7 +108,7 @@ class TestLiftConstants:
 class TestConvergence:
     def test_r64_alpha2(self):
         pi = GammaMixingMeasure(alpha=2.0, beta=1.0)
-        assert lift_inv_mean(build_lift(pi, 6)) == pytest.approx(0.94661, abs=5e-6)
+        assert build_lift(pi, 6).inv_mean == pytest.approx(0.94661, abs=5e-6)
 
     def test_report_rows_and_rates(self):
         pi = GammaMixingMeasure(alpha=2.0, beta=1.0)

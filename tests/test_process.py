@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate, stats as sps
 
-from supcbi.lift import build_lift, lift_inv_mean
+from supcbi.lift import build_lift
 from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
 from supcbi.process import (
     Controller,
@@ -126,7 +126,7 @@ class TestCumulants:
             model = small_model(B=0.0, c1=c1, c2=1.7, A=0.3)
             lift = build_lift(model.pi, 3)
             expected = [
-                model.A * lift_inv_mean(lift) * levy_moment(model.nu, k) / k for k in range(1, 5)
+                model.A * lift.inv_mean * levy_moment(model.nu, k) / k for k in range(1, 5)
             ]
             assert stationary_cumulants(model, lift) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
@@ -152,7 +152,7 @@ class TestCumulants:
 
         with mpmath.workdps(15):
             taylor = mpmath.taylor(g, 0, 3)
-        scale = model.A * lift_inv_mean(lift)
+        scale = model.A * lift.inv_mean
         _, _, k3, k4 = stationary_cumulants(model, lift)
         assert k3 == pytest.approx(scale * 2 * float(taylor[2]), rel=1e-10, abs=0.0)
         assert k4 == pytest.approx(scale * 6 * float(taylor[3]), rel=1e-10, abs=0.0)
@@ -381,8 +381,7 @@ class TestSimulate:
         model = small_model(c1=0.8)
         lift = build_lift(model.pi, 1)
         with pytest.raises(ValueError, match="budget"):
-            simulate(model, lift, horizon=1e4, dt=1.0, eps=1e-12, seed=0,
-                     max_expected_jumps=1e4)
+            simulate(model, lift, horizon=1e4, dt=1.0, eps=1e-12, seed=0)
 
     def test_argument_validation(self):
         model = small_model()
