@@ -26,7 +26,7 @@ from .control import (
     write_sweep_csv,
 )
 from .identify import empirical_acf, fit_acf, fit_moments, format_fit_report, read_series_csv, write_fit_report_csv
-from .lift import build_lift, convergence_report, format_convergence_table, write_lift_csv
+from .lift import _convergence, build_lift, convergence_report, format_convergence_table, write_lift_csv
 from .measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
 from .process import (
     Controller,
@@ -205,8 +205,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
     pi = _mixing_measure(config, _get_d(config) if "Dbeta" in config else None)
     m_max = _override(args.m, config, "m_max", _get_int(config, "m", 13))
     m_min = _get_int(config, "m_min", min(6, m_max))
-    rows = convergence_report(pi, m_min, m_max)
-    lift = build_lift(pi, m_max)
+    rows, lift = _convergence(pi, m_min, m_max)
     out = _out_dir(args)
     with open(out / "lift.csv", "w", newline="\n") as fh:
         write_lift_csv(lift, fh)
@@ -283,9 +282,10 @@ def _multi_site_sweep(
     site_paths = sorted(sites_dir.glob("*.cfg"))
     if not site_paths:
         raise ConfigError(f"no *.cfg site configs found in {sites_dir}")
-    per_site: dict[str, list] = {}
+    # every site's problem is built, and its config checked, before the first
+    # sweep, so that a bad site leaves no output behind
+    problems: dict[str, ControlProblem] = {}
     for path in site_paths:
-        site = path.stem
         site_config = _parse_config(path, "sweep")
         if unused := sorted(site_config.keys() & _GRID_KEYS):
             raise ConfigError(f"{path}: key {unused[0]!r} has no effect in a site config")
@@ -294,8 +294,9 @@ def _multi_site_sweep(
         for keys in (("Pbar",), ("Qhat", "Qabs")):
             if not any(key in site_config for key in keys):
                 site_config.update({key: config[key] for key in keys if key in config})
-        rows = sweep(_control_problem(args, site_config, grid[0]), grid)
-        per_site[site] = rows
+        problems[path.stem] = _control_problem(args, site_config, grid[0])
+    per_site = {site: sweep(problem, grid) for site, problem in problems.items()}
+    for site, rows in per_site.items():
         with open(out / f"sweep_{site}.csv", "w", newline="\n") as fh:
             write_sweep_csv(rows, fh)
     with open(out / "multisite.csv", "w", newline="\n") as fh:

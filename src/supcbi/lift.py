@@ -85,18 +85,26 @@ def convergence_report(
     pi: GammaMixingMeasure, m_min: int, m_max: int
 ) -> list[ConvergenceRow]:
     """Tabulate R_n, its relative error, and the dyadic convergence rate."""
+    return _convergence(pi, m_min, m_max)[0]
+
+
+def _convergence(
+    pi: GammaMixingMeasure, m_min: int, m_max: int
+) -> tuple[list[ConvergenceRow], MarkovianLift]:
+    """The convergence rows of m_min..m_max and the m_max lift they end with."""
     if not 1 <= m_min <= m_max <= 16:
         raise ValueError("resolution range must satisfy 1 <= m_min <= m_max <= 16")
     r_exact = inv_mean(pi)
     rows: list[ConvergenceRow] = []
     prev_err: float | None = None
     for m in range(m_min, m_max + 1):
-        r_n = build_lift(pi, m).inv_mean
+        lift = build_lift(pi, m)
+        r_n = lift.inv_mean
         err = (r_exact - r_n) / r_exact
         rate = math.log2(prev_err / err) if prev_err is not None and err > 0.0 else None
         rows.append(ConvergenceRow(n=2**m, r_n=r_n, r_exact=r_exact, rel_error=err, rate=rate))
         prev_err = err
-    return rows
+    return rows, lift
 
 
 def write_lift_csv(lift: MarkovianLift, out: IO[str]) -> None:

@@ -2,9 +2,11 @@
 
 Stationary moments, cumulants and autocorrelation in closed form, plus an exact
 event-driven Monte Carlo simulator of the lifted system with optional static
-feedback control. Every component's jumps come from one cluster sampler,
-one generation of children at a time; with B = 0 only the immigrant
-generation is drawn. Small jumps below a truncation level eps are dropped;
+feedback control. The jumps come from one cluster sampler: each component's
+immigrants are drawn in turn, then each later generation of children is
+drawn once for a whole batch of components (all of them unless the path is
+long); with B = 0 only the immigrants are drawn. Small jumps below a
+truncation level eps are dropped;
 all closed-form comparisons against simulation use the eps-truncated moments
 so the truncation bias cancels.
 """
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 _MAX_EXPECTED_JUMPS = 2e7  # `simulate` refuses a path expected to draw more jumps
+_BATCH_JUMPS = 2**16  # expected jumps of the components `simulate` draws together
 
 
 class SupCbiModel:
@@ -183,35 +186,49 @@ class SimulatedPath:
 
 def _component_events(
     model: SupCbiModel,
-    c_i: float,
-    r_i: float,
+    c: np.ndarray,
+    r: np.ndarray,
     nubar: float,
     eps: float,
     horizon: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jump times and sizes of one lifted component on [0, horizon].
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Jump times and sizes on [0, horizon] of the lift components with weights c and rates r.
 
     Cluster (branching) representation of the self-exciting intensity
-    (c_i A + r_i B Y_i) nubar (Hawkes and Oakes 1974): immigrants form a
-    Poisson stream at rate c_i A nubar, and each jump of size z has
-    Poisson(B z nubar) children at Exp(r_i) delays. One generation is drawn at
-    a time; children past the horizon are dropped with their descendants,
-    which would come later still. The mean number of children per jump is
-    B M1(eps) = 1 - D_eps < 1, so the generations die out. With B = 0 every
-    child count is Poisson(0), which draws nothing from rng, so only the
-    sorted immigrant stream is drawn.
+    (c_i A + r_i B Y_i) nubar (Hawkes and Oakes 1974): component i's
+    immigrants form a Poisson stream at rate c_i A nubar, and each jump of
+    size z has Poisson(B z nubar) children at Exp(r_i) delays. Immigrants
+    and their sizes are drawn per component, in component order. Each later
+    generation is drawn once for all the components: np.repeat carries
+    every parent's rate to its children, so a generation stays grouped by
+    component (the rates increase) and splits into per-component slices
+    without a sort. Children past the horizon are dropped with their
+    descendants, which would come later still. The mean number of children
+    per jump is B M1(eps) = 1 - D_eps < 1, so the generations die out. With
+    B = 0 no generation is drawn: each component gets its sorted immigrant
+    stream. Returns one (times, sizes) pair per component, in order.
     """
-    times = np.sort(rng.uniform(0.0, horizon, size=rng.poisson(c_i * model.A * nubar * horizon)))
-    all_times, all_sizes = [np.empty(0)], [np.empty(0)]
+    immigrants = []
+    for c_i in c:
+        times = np.sort(rng.uniform(0.0, horizon, size=rng.poisson(c_i * model.A * nubar * horizon)))
+        immigrants.append((times, model.nu.sample_truncated(eps, times.size, rng)))
+    if model.B == 0.0:
+        return immigrants
+    generations = [immigrants]
+    rate = np.repeat(r, [times.size for times, _ in immigrants])
+    times, sizes = (np.concatenate(column) for column in zip(*immigrants))
     while times.size:
-        sizes = model.nu.sample_truncated(eps, times.size, rng)
-        all_times.append(times)
-        all_sizes.append(sizes)
         kids = rng.poisson(model.B * nubar * sizes)
-        times = np.repeat(times, kids) + rng.exponential(1.0 / r_i, size=int(kids.sum()))
-        times = times[times <= horizon]
-    return np.concatenate(all_times), np.concatenate(all_sizes)
+        rate = np.repeat(rate, kids)
+        times = np.repeat(times, kids) + rng.exponential(size=rate.size) / rate
+        keep = times <= horizon
+        rate, times = rate[keep], times[keep]
+        sizes = model.nu.sample_truncated(eps, times.size, rng)
+        bounds = [*np.searchsorted(rate, r).tolist(), rate.size]
+        generations.append([(times[a:b], sizes[a:b]) for a, b in zip(bounds, bounds[1:])])
+    # per component, its slice of every generation, in generation order
+    return [tuple(map(np.concatenate, zip(*slices))) for slices in zip(*generations)]
 
 
 def _decay_scan(x: np.ndarray, decay: float) -> np.ndarray:
@@ -280,7 +297,6 @@ def simulate(
         )
     rng = np.random.default_rng((seed, replicate))
 
-    n = lift.n
     steps = int(math.floor(total / dt)) + 1
     k0 = int(math.ceil(burn / dt))
     grid = np.arange(steps) * dt
@@ -292,21 +308,25 @@ def simulate(
         rho = controller.rho
         z_forcing = np.zeros(steps)  # per-step convolution increments for the smooth part
 
-    for i in range(n):
-        r_i = lift.r[i]
-        times, sizes = _component_events(model, lift.c[i], r_i, nubar, eps, grid[-1], rng)
-        bins = np.minimum((np.floor(times / dt)).astype(int) + 1, steps - 1)
-        # contribution of each jump to the component value at the end of its bin
-        w = sizes * np.exp(-r_i * (bins * dt - times))
-        yi = _decay_scan(np.bincount(bins, weights=w, minlength=steps), math.exp(-r_i * dt))
-        y_total += yi
-        if controller is not None:
-            # integral of exp(-h*(t_k - s)) Y_i(s) ds over each step, exact
-            g = sizes * _exp_diff(r_i, h, bins * dt - times)
-            gb = np.bincount(bins, weights=g, minlength=steps)
-            step_w = _exp_diff(r_i, h, dt)
-            # forcing from the state at the step start plus within-step jumps
-            z_forcing[1:] += yi[:-1] * step_w + gb[1:]
+    # consecutive components share the generation rounds of a batch of about
+    # _BATCH_JUMPS expected jumps, whose arrays stay small
+    batch = np.floor(expected * (np.cumsum(lift.c) - lift.c) / _BATCH_JUMPS)
+    starts = [*np.flatnonzero(np.diff(batch, prepend=-1.0)).tolist(), lift.n]
+    for a, b in zip(starts, starts[1:]):
+        events = _component_events(model, lift.c[a:b], lift.r[a:b], nubar, eps, grid[-1], rng)
+        for r_i, (times, sizes) in zip(lift.r[a:b], events):
+            bins = np.minimum((np.floor(times / dt)).astype(int) + 1, steps - 1)
+            # contribution of each jump to the component value at the end of its bin
+            w = sizes * np.exp(-r_i * (bins * dt - times))
+            yi = _decay_scan(np.bincount(bins, weights=w, minlength=steps), math.exp(-r_i * dt))
+            y_total += yi
+            if controller is not None:
+                # integral of exp(-h*(t_k - s)) Y_i(s) ds over each step, exact
+                g = sizes * _exp_diff(r_i, h, bins * dt - times)
+                gb = np.bincount(bins, weights=g, minlength=steps)
+                step_w = _exp_diff(r_i, h, dt)
+                # forcing from the state at the step start plus within-step jumps
+                z_forcing[1:] += yi[:-1] * step_w + gb[1:]
 
     x = c_rate = None
     if controller is not None:

@@ -226,6 +226,30 @@ class TestSweepCommand:
         assert repr(line.split(" = ")[0]) in capsys.readouterr().err
         assert not (tmp_path / "multisite.csv").exists()
 
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("Kbar_grid = 0.5", "has no effect in a site config"),
+            ("D = 0.5", "inconsistent B and D"),
+            ("Pbar = -1", "pbar must be positive"),
+        ],
+        ids=["site-key", "site-model", "site-problem"],
+    )
+    def test_multi_site_bad_later_site_leaves_no_output(self, tmp_path, capsys, line, error):
+        # every site config is parsed, checked and built into a problem before
+        # the first sweep, so site b's error leaves no sweep_a.csv behind
+        sites = tmp_path / "sites"
+        sites.mkdir()
+        site_cfg = MODEL_CFG + "m = 2\nQhat = 0.4\n"
+        (sites / "a.cfg").write_text(site_cfg)
+        (sites / "b.cfg").write_text(site_cfg + line + "\n")
+        cfg = write_cfg(tmp_path, f"Kbar_grid = 0.001,0.01\nsites_dir = {sites}\n")
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert error in capsys.readouterr().err
+        assert not (out / "sweep_a.csv").exists()
+        assert not (out / "multisite.csv").exists()
+
 
 class TestSimulateCommand:
     CFG = (

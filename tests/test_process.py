@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate, stats as sps
 
-from supcbi.lift import build_lift
+from supcbi import process
+from supcbi.control import ControlProblem, solve
+from supcbi.lift import MarkovianLift, build_lift
 from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
 from supcbi.process import (
     Controller,
@@ -271,6 +273,25 @@ class TestSimulate:
         se = means.std(ddof=1) / math.sqrt(reps)
         assert abs(means.mean() - stationary_mean(trunc, lift)) < 3.0 * se
 
+    @pytest.mark.parametrize("batch_jumps", [process._BATCH_JUMPS, 1e-9], ids=["one-batch", "batch-per-component"])
+    def test_self_exciting_mean_and_variance_over_batchings(self, batch_jumps, monkeypatch):
+        # a long path draws its lift components in several batches; a component
+        # lost at a batch boundary, or given another's weight or decay rate,
+        # moves the mean, and children given another's delay rate the variance
+        monkeypatch.setattr(process, "_BATCH_JUMPS", batch_jumps)
+        model = small_model(B=0.4, A=0.5)
+        lift = MarkovianLift(r=np.array([0.6, 1.3, 2.1, 3.6]), c=np.array([0.4, 0.3, 0.2, 0.1]))
+        eps = 1e-3
+        trunc = model.truncated(eps)
+        reps = 8
+        stats = np.empty((reps, 2))
+        for rep in range(reps):
+            p = simulate(model, lift, horizon=1200.0, dt=0.5, eps=eps, seed=29, replicate=rep)
+            stats[rep] = p.y_total.mean(), path_stats(p, 0).variance
+        se = stats.std(axis=0, ddof=1) / math.sqrt(reps)
+        exact = stationary_mean(trunc, lift), stationary_variance(trunc, lift)
+        assert np.all(np.abs(stats.mean(axis=0) - exact) < 3.0 * se)
+
     def test_self_exciting_case_variance(self):
         model = small_model(B=0.4, A=0.5)
         lift = build_lift(model.pi, 1)
@@ -302,45 +323,86 @@ class TestSimulate:
         assert np.all(np.abs(shapes.mean(axis=0) - exact) < 3.0 * se)
 
     def test_self_exciting_event_count(self):
-        # from Y_i(0) = 0 the intensity (c A + r B Y_i) nubar has mean
-        # nubar c A (1 - (1 - D) exp(-r D t)) / D with D = 1 - B M1(eps),
-        # whose integral over [0, T] is the exact mean count
+        # from Y_i(0) = 0 the intensity (c_i A + r_i B Y_i) nubar has mean
+        # nubar c_i A (1 - (1 - D) exp(-r_i D t)) / D with D = 1 - B M1(eps),
+        # whose integral over [0, T] is the exact mean count of component i;
+        # children given another component's rate would move it by many SE
         model = small_model(B=0.4, A=0.5)
-        eps, c_i, r_i, horizon = 1e-2, 0.7, 0.3, 20.0
+        lift = MarkovianLift(r=np.array([0.2, 0.9, 3.0]), c=np.array([0.5, 0.3, 0.2]))
+        eps, horizon = 1e-2, 20.0
         nubar = model.nu.tail_mass(eps)
         d = model.truncated(eps).D
-        exact = nubar * c_i * model.A * (
-            horizon / d - (1.0 - d) * (1.0 - math.exp(-r_i * d * horizon)) / (d**2 * r_i)
+        exact = nubar * lift.c * model.A * (
+            horizon / d - (1.0 - d) * -np.expm1(-lift.r * d * horizon) / (d**2 * lift.r)
         )
         rng = np.random.default_rng(41)
-        counts = np.empty(400)
-        for rep in range(counts.size):
-            times, sizes = _component_events(model, c_i, r_i, nubar, eps, horizon, rng)
-            assert times.size == sizes.size
-            assert np.all((times >= 0.0) & (times <= horizon))
-            assert np.all(sizes >= eps)
-            counts[rep] = times.size
-        se = counts.std(ddof=1) / math.sqrt(counts.size)
-        assert abs(counts.mean() - exact) < 3.0 * se
+        counts = np.empty((400, lift.n))
+        for rep in range(counts.shape[0]):
+            events = _component_events(model, lift.c, lift.r, nubar, eps, horizon, rng)
+            assert len(events) == lift.n
+            for i, (times, sizes) in enumerate(events):
+                assert times.size == sizes.size
+                assert np.all((times >= 0.0) & (times <= horizon))
+                assert np.all(sizes >= eps)
+                counts[rep, i] = times.size
+        se = counts.std(axis=0, ddof=1) / math.sqrt(counts.shape[0])
+        assert np.all(np.abs(counts.mean(axis=0) - exact) < 3.0 * se)
 
     @pytest.mark.parametrize("c1", [-0.6, 0.0, 0.4])
     def test_poisson_case_draws_the_plain_poisson_stream(self, c1):
         # with B = 0 the cluster sampler draws exactly what a homogeneous
-        # Poisson sampler draws from the same generator: count, sorted
-        # uniform times, then sizes
+        # Poisson sampler draws from the same generator, component after
+        # component: count, sorted uniform times, then sizes
         model = small_model(c1=c1)
-        eps, c_i, r_i, horizon = 1e-2, 0.3, 0.7, 50.0
+        lift = MarkovianLift(r=np.array([0.2, 0.7, 3.0]), c=np.array([0.5, 0.3, 0.2]))
+        eps, horizon = 1e-2, 50.0
         nubar = model.nu.tail_mass(eps)
         for seed in range(6):
             rng = np.random.default_rng(seed)
-            times, sizes = _component_events(model, c_i, r_i, nubar, eps, horizon, rng)
+            events = _component_events(model, lift.c, lift.r, nubar, eps, horizon, rng)
             ref = np.random.default_rng(seed)
-            n_jumps = ref.poisson(c_i * model.A * nubar * horizon)
-            ref_times = np.sort(ref.uniform(0.0, horizon, size=n_jumps))
-            ref_sizes = model.nu.sample_truncated(eps, n_jumps, ref)
-            assert times.tobytes() == ref_times.tobytes()
-            assert sizes.tobytes() == ref_sizes.tobytes()
+            assert len(events) == lift.n
+            for c_i, (times, sizes) in zip(lift.c, events):
+                n_jumps = ref.poisson(c_i * model.A * nubar * horizon)
+                ref_times = np.sort(ref.uniform(0.0, horizon, size=n_jumps))
+                ref_sizes = model.nu.sample_truncated(eps, n_jumps, ref)
+                assert times.tobytes() == ref_times.tobytes()
+                assert sizes.tobytes() == ref_sizes.tobytes()
             assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("controlled", [False, True])
+    def test_poisson_case_path_does_not_depend_on_the_batching(self, controlled, monkeypatch):
+        # with B = 0 a batch draws only its components' immigrant streams, in
+        # component order, so one batch and one batch per component give the
+        # same bytes
+        model = small_model()
+        lift = build_lift(model.pi, 3)
+        ctrl = Controller(rho=1.2, u=-0.4, xhat=1.0) if controlled else None
+        whole = simulate(model, lift, horizon=200.0, dt=0.5, eps=1e-3, seed=8, controller=ctrl)
+        monkeypatch.setattr(process, "_BATCH_JUMPS", 1e-9)
+        split = simulate(model, lift, horizon=200.0, dt=0.5, eps=1e-3, seed=8, controller=ctrl)
+        for a, b in ((whole.y_total, split.y_total), (whole.x, split.x), (whole.c_rate, split.c_rate)):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+    def test_self_exciting_controlled_cost_and_variance(self):
+        # J = E[(X - xhat)^2] and K = E[c^2] of the solved controller on a
+        # B > 0 model, against 16 controlled paths of the eps-truncated model
+        model = small_model(B=0.5 / levy_moment(TemperedStableLevy(0.2, 1.0), 1), A=0.5)
+        lift = build_lift(model.pi, 2)
+        eps = 1e-3
+        trunc = model.truncated(eps)
+        sol = solve(ControlProblem(model=trunc, lift=lift, kbar=0.05, qabs=0.3 * stationary_mean(trunc, lift)))
+        assert sol.active_constraint == "cost"
+        xhat = sol.q * stationary_mean(trunc, lift)
+        ctrl = Controller(rho=sol.rho, u=sol.u, xhat=xhat)
+        reps = 16
+        jk = np.empty((reps, 2))
+        for rep in range(reps):
+            p = simulate(model, lift, horizon=1000.0, dt=0.5, eps=eps, seed=61,
+                         replicate=rep, controller=ctrl)
+            jk[rep] = np.mean((p.x - xhat) ** 2), np.mean(p.c_rate**2)
+        se = jk.std(axis=0, ddof=1) / math.sqrt(reps)
+        assert np.all(np.abs(jk.mean(axis=0) - (sol.J, sol.K)) < 3.0 * se)
 
     def test_self_exciting_without_immigration_is_zero(self):
         model = small_model(B=0.4, A=0.0)

@@ -1,0 +1,168 @@
+"""Record a benchmark snapshot, or compare two.
+
+Usage, from the repository root:
+
+    python3 tools/bench.py --out BENCH_<n>.json
+    python3 tools/bench.py --compare A.json B.json
+
+Recording runs perfbench/run.py on each workload (design, simulate,
+calibrate) at seed SEED for SECONDS, once untraced (--trace 0, the
+end-to-end metrics) and once traced (--trace 1, the per-layer metrics), one
+after another in child processes. It then times `supcbi simulate` on long
+B > 0 paths, which no perfbench workload reaches, and the tier-1 suite. It
+writes their results together with the git revision, the sha256 of
+`git diff --full-index` of src, tests and perfbench against that revision
+(null when the tree matches it), so a record of an uncommitted tree still
+names the code it timed, and the Python, numpy and scipy versions and the
+CPU count. Comparing prints, for every metric the two files share, both
+values and the ratio B / A.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("design", "simulate", "calibrate")
+MODES = {"untraced": 0, "traced": 1}
+SEED = 3
+SECONDS = 25.0
+# the reference B > 0 model on an 8-component lift; `simulate` draws the
+# components of these paths in several batches of cluster generations
+LONG_PATH_CONFIG = (
+    "A = 0.5\nB = 0.3\nc1 = 0.4\nc2 = 1.3\nalpha = 2.1\nbeta = 0.8\n"
+    "m = 3\ndt = 5\neps = 0.001\nseed = 1\n"
+)
+LONG_PATH_HORIZONS = (10_000, 100_000)
+LONG_PATH_RUNS = 3
+
+
+def _run(argv: list[str], env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, check=False)
+
+
+def _src_env() -> dict[str, str]:
+    """The environment with src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    return env
+
+
+def _perfbench(workload: str, trace: int) -> dict:
+    """The JSON of the last line of one perfbench run."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+            "--seconds", str(SECONDS), "--trace", str(trace)]
+    done = _run(argv)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"{' '.join(argv[1:])} exited {done.returncode}:\n{done.stderr}")
+    return json.loads(lines[-1])
+
+
+def _long_path(horizon: int) -> dict:
+    """Least wall time and greatest peak RSS of LONG_PATH_RUNS `supcbi simulate` children."""
+    walls, peaks = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "long.cfg"
+        config.write_text(LONG_PATH_CONFIG + f"horizon = {horizon}\n")
+        argv = [sys.executable, "-m", "supcbi.cli", "simulate", "--config", str(config),
+                "--out", tmp, "--quiet"]
+        for _ in range(LONG_PATH_RUNS):
+            start = time.perf_counter()
+            child = subprocess.Popen(argv, cwd=ROOT, env=_src_env(), stderr=subprocess.PIPE)
+            # wait4 gives this child's own resource usage, ru_maxrss in KiB
+            _, status, usage = os.wait4(child.pid, 0)
+            walls.append(time.perf_counter() - start)
+            child.returncode = os.waitstatus_to_exitcode(status)
+            if child.returncode != 0:
+                raise SystemExit(f"simulate at horizon {horizon} exited {child.returncode}:\n"
+                                 f"{child.stderr.read().decode()}")
+            child.stderr.close()
+            peaks.append(usage.ru_maxrss / 1024.0)
+    return {"wall_s": round(min(walls), 3), "peak_rss_mb": round(max(peaks), 1)}
+
+
+def _tier1() -> dict:
+    """Wall time and pytest's summary line of the tier-1 suite."""
+    start = time.perf_counter()
+    done = _run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                 "--continue-on-collection-errors"], _src_env())
+    wall = time.perf_counter() - start
+    summary = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""
+    return {"wall_s": round(wall, 3), "exit_code": done.returncode, "summary": summary}
+
+
+def _environment() -> dict:
+    import numpy
+    import scipy
+
+    revision = _run(["git", "rev-parse", "HEAD"]).stdout.strip()
+    diff = _run(["git", "diff", "--full-index", "HEAD", "--", "src", "tests", "perfbench"]).stdout
+    return {
+        "revision": revision,
+        "source_diff_sha256": hashlib.sha256(diff.encode()).hexdigest() if diff else None,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def record(out: Path) -> None:
+    report = {**_environment(), "seed": SEED, "seconds": SECONDS, "workloads": {}}
+    for workload in WORKLOADS:
+        report["workloads"][workload] = {mode: _perfbench(workload, trace) for mode, trace in MODES.items()}
+    report["long_paths"] = {str(horizon): _long_path(horizon) for horizon in LONG_PATH_HORIZONS}
+    report["tier1"] = _tier1()
+    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    incorrect = [f"{w} {m}" for w, runs in report["workloads"].items() for m, run in runs.items()
+                 if not run["correct"]]
+    print(f"wrote {out}" + (f"; NOT correct: {', '.join(incorrect)}" if incorrect else ""))
+
+
+def _metrics(report: dict) -> dict[str, float]:
+    """Every metric of a snapshot, keyed workload/mode/metric, plus tier1/wall_s and the long paths."""
+    flat = {"tier1/wall_s": report["tier1"]["wall_s"]}
+    for workload, runs in report["workloads"].items():
+        for mode, run in runs.items():
+            for name, metric in run["metrics"].items():
+                flat[f"{workload}/{mode}/{name}"] = metric["value"]
+    for horizon, run in report.get("long_paths", {}).items():
+        for name, value in run.items():
+            flat[f"long_path/{horizon}/{name}"] = value
+    return flat
+
+
+def compare(a_path: Path, b_path: Path) -> None:
+    a, b = (_metrics(json.loads(p.read_text())) for p in (a_path, b_path))
+    print(f"{'metric':<62} {'A':>12} {'B':>12} {'B/A':>7}")
+    for key in (k for k in a if k in b):
+        ratio = f"{b[key] / a[key]:7.3f}" if a[key] else "      -"
+        print(f"{key:<62} {a[key]:12.5g} {b[key]:12.5g} {ratio}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, help="snapshot file to write")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+    elif args.out:
+        record(args.out)
+    else:
+        parser.error("give --out or --compare")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
