@@ -12,7 +12,6 @@ from .control import (
     InfeasibleProblem,
     bke_residual_J,
     bke_residual_K,
-    continuum_J_K_P,
     eval_J,
     eval_K,
     eval_P,
@@ -30,7 +29,7 @@ from .identify import (
     fit_moments,
     read_series_csv,
 )
-from .lift import MarkovianLift, build_lift, convergence_report
+from .lift import GammaContinuum, MarkovianLift, build_lift, convergence_report
 from .measures import (
     GammaMixingMeasure,
     TemperedStableLevy,
@@ -58,6 +57,7 @@ __all__ = [
     "Controller",
     "DischargeSeries",
     "FitReport",
+    "GammaContinuum",
     "GammaMixingMeasure",
     "InfeasibleProblem",
     "MarkovianLift",
@@ -69,7 +69,6 @@ __all__ = [
     "bke_residual_J",
     "bke_residual_K",
     "build_lift",
-    "continuum_J_K_P",
     "convergence_report",
     "empirical_acf",
     "eval_J",

@@ -1,10 +1,10 @@
 """Closed-form ergodic control of the lifted supCBI discharge.
 
-Evaluators for the tracking variance J, the quadratic control cost K, and the
-flow-modification variance P as functions of q = rho/(rho-u) and h = rho - u;
-the constrained minimizer (Balanced / Water Adding / Water Abstracting cases,
-with an optional variability bound); and residual certification of the
-quadratic backward-Kolmogorov-equation solutions the formulas rest on.
+The tracking variance J, quadratic control cost K and flow-modification
+variance P at q = rho/(rho-u) and h = rho - u, one line each over the resolvent
+(S, T) of a lift or a `GammaContinuum`; the constrained minimizer (Balanced /
+Water Adding / Water Abstracting cases, with an optional variability bound);
+and residual certification of the quadratic BKE solutions the formulas rest on.
 
 Each solution is a quadratic ansatz y'ay/2 + b'y plus a constant. The residual
 certifies its closed-form a and constant (J, or K/h^2); b is solved from the
@@ -28,8 +28,7 @@ from typing import IO, Callable, Optional, Sequence
 import numpy as np
 from scipy import optimize
 
-from .lift import MarkovianLift
-from .measures import _scaled_upper_gamma, inv_mean
+from .lift import MarkovianLift, Spectrum
 from .process import SupCbiModel, stationary_mean, stationary_variance
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "cost_bke_coefficients",
     "bke_residual_J",
     "bke_residual_K",
-    "continuum_J_K_P",
 ]
 
 
@@ -106,7 +104,7 @@ def _target(qhat: float | None, qabs: float | None) -> float:
 
 def q_from_target(
     model: SupCbiModel,
-    lift: MarkovianLift,
+    lift: Spectrum,
     qhat: float | None = None,
     qabs: float | None = None,
 ) -> float:
@@ -130,43 +128,36 @@ def q_from_target(
     return q
 
 
-def eval_J(model: SupCbiModel, lift: MarkovianLift, q: float, h: float) -> float:
-    """Tracking variance J(q, h) under the mean constraint; J(q, 0) = Var[Y_n]."""
+def _resolvent(model: SupCbiModel, lift: Spectrum, q: float, h: float) -> tuple[float, float]:
     if h < 0.0 or q <= 0.0:
         raise ValueError("need h >= 0 and q > 0")
-    rd = lift.r * model.D
-    s = float(np.sum(lift.w * (rd + q * q * h) / (rd + h)))
-    return stationary_variance(model, lift) * s / lift.inv_mean
+    return lift.resolvent(h, model.D)
 
 
-def eval_K(model: SupCbiModel, lift: MarkovianLift, q: float, h: float) -> float:
-    """Control cost K(q, h) = h^2 (1-q)^2 Var[Y_n] * S(h), increasing in h for q != 1.
-
-    S(h) = sum (c_i/r_i) r_i D / (r_i D + h), normalized by sum c_i/r_i, lies
-    in (0, 1]; so K = h^2 (1-q)^2 A M2 / (2D) * sum c_i / (r_i D + h).
-    """
-    if h < 0.0 or q <= 0.0:
-        raise ValueError("need h >= 0 and q > 0")
-    rd = lift.r * model.D
-    s = float(np.sum(lift.w * rd / (rd + h)))
-    return h * h * (1.0 - q) ** 2 * stationary_variance(model, lift) * (s / lift.inv_mean)
+def eval_J(model: SupCbiModel, lift: Spectrum, q: float, h: float) -> float:
+    """Tracking variance J(q, h) = Var[Y_n] (S + q^2 T); J(q, 0) = Var[Y_n]."""
+    s, t = _resolvent(model, lift, q, h)
+    return stationary_variance(model, lift) * (s + q * q * t)
 
 
-def eval_P(model: SupCbiModel, lift: MarkovianLift, q: float, h: float) -> float:
+def eval_K(model: SupCbiModel, lift: Spectrum, q: float, h: float) -> float:
+    """Control cost K(q, h) = Var[Y_n] (1-q)^2 h (h S), increasing in h for q != 1."""
+    return stationary_variance(model, lift) * (1.0 - q) ** 2 * (h * _resolvent(model, lift, q, h)[0]) * h
+
+
+def _p(model: SupCbiModel, lift: Spectrum, q: float, t: float) -> float:
+    """P = (q-1)^2 (E[Y_n]^2 + Var[Y_n] T) at a resolvent half T in [0, 1]."""
+    return (q - 1.0) ** 2 * (stationary_mean(model, lift) ** 2 + stationary_variance(model, lift) * t)
+
+
+def eval_P(model: SupCbiModel, lift: Spectrum, q: float, h: float) -> float:
     """Flow-modification variance P(q, h), increasing in h between its bounds."""
-    if h < 0.0 or q <= 0.0:
-        raise ValueError("need h >= 0 and q > 0")
-    rd = lift.r * model.D
-    s = float(np.sum(lift.w * h / (rd + h)))
-    mean = stationary_mean(model, lift)
-    return (q - 1.0) ** 2 * (mean**2 + 0.5 * model.A * model.M2 / model.D**2 * s)
+    return _p(model, lift, q, _resolvent(model, lift, q, h)[1])
 
 
-def p_bounds(model: SupCbiModel, lift: MarkovianLift, q: float) -> tuple[float, float]:
-    """Lower/upper bounds of P over h: (q-1)^2 E[Y_n]^2 and (q-1)^2 E[Y_n^2]."""
-    mean = stationary_mean(model, lift)
-    var = stationary_variance(model, lift)
-    return (q - 1.0) ** 2 * mean**2, (q - 1.0) ** 2 * (mean**2 + var)
+def p_bounds(model: SupCbiModel, lift: Spectrum, q: float) -> tuple[float, float]:
+    """Lower/upper bounds of P over h, at T = 0 and 1: (q-1)^2 E[Y_n]^2 and (q-1)^2 E[Y_n^2]."""
+    return _p(model, lift, q, 0.0), _p(model, lift, q, 1.0)
 
 
 def _bracket_root(f, target: float, hi: float) -> float | None:
@@ -185,14 +176,14 @@ def _bracket_root(f, target: float, hi: float) -> float | None:
     return optimize.brentq(lambda h: f(h) - target, 0.0, hi, xtol=1e-300, rtol=_REL_TOL)
 
 
-def solve_hbar(model: SupCbiModel, lift: MarkovianLift, q: float, kbar: float) -> float:
+def solve_hbar(model: SupCbiModel, lift: Spectrum, q: float, kbar: float) -> float:
     """Unique positive root of K(h) = kbar for |1 - q| > _REL_TOL, the Balanced rule of `solve`.
 
-    K(h) = h^2 (1-q)^2 Var * S(h) is strictly increasing and S <= 1, so the
+    K(h) = (1-q)^2 Var h (h S(h)) is strictly increasing and S <= 1, so the
     root lies at or above h0 = sqrt(kbar / ((1-q)^2 Var)). Brent's method
     finds it on [0, hi], with hi doubled from max(h0, 1) until it brackets
-    the root, as for the variability root; a root where K's h^2 overflows
-    (h > 1.3e154) is refused with a RuntimeError.
+    the root, as for the variability root; K has no h^2 to overflow, so only
+    a root beyond the float range is refused, with a RuntimeError.
     """
     if not q > 0.0 or abs(1.0 - q) <= _REL_TOL:
         raise ValueError(f"root solving needs q > 0 and |1 - q| > {_REL_TOL:g}")
@@ -205,7 +196,7 @@ def solve_hbar(model: SupCbiModel, lift: MarkovianLift, q: float, kbar: float) -
     return h
 
 
-def solve_pbar_h(model: SupCbiModel, lift: MarkovianLift, q: float, pbar: float) -> float:
+def solve_pbar_h(model: SupCbiModel, lift: Spectrum, q: float, pbar: float) -> float:
     """Root of P(h) = pbar; +inf when pbar is at or above the upper bound."""
     lo_bound, hi_bound = p_bounds(model, lift, q)
     if pbar < lo_bound:
@@ -498,29 +489,4 @@ def bke_residual_K(
     return _bke_residual(
         model, lift, q, h, ansatz, states,
         lambda x, ys: (x - q * np.sum(ys, axis=1)) ** 2,
-    )
-
-
-def continuum_J_K_P(model: SupCbiModel, q: float, h: float) -> tuple[float, float, float]:
-    """Exact m -> infinity limits of J, K and P, from their measure-integral forms.
-
-    All three reduce to T(s) = integral of pi(dr) / (r + s) at s = h/D, which
-    for the Gamma measure is s^(alpha-1) U(alpha, alpha, s/beta) / beta^alpha
-    (U the confluent hypergeometric function of the second kind). By DLMF
-    13.6.6 and 8.19.1, T/R = c z^c e^z Gamma(-c, z) with c = alpha - 1 and
-    z = s/beta (R the inverse first moment; T/R -> 1 as h -> 0), which
-    `_scaled_upper_gamma` gives to 1e-15 relative for alpha <= 60, z <= 1e6.
-    """
-    if h < 0.0 or q <= 0.0:
-        raise ValueError("need h >= 0 and q > 0")
-    pi = model.pi
-    c = pi.alpha - 1.0
-    ratio = 1.0 if h == 0.0 else c * _scaled_upper_gamma(c, h / (model.D * pi.beta))
-    r_exact = inv_mean(pi)
-    mean = model.A * model.M1 / model.D * r_exact
-    var = 0.5 * model.A * model.M2 / model.D**2 * r_exact
-    return (
-        var * (1.0 + (q * q - 1.0) * (1.0 - ratio)),
-        h * h * (1.0 - q) ** 2 * var * ratio,
-        (q - 1.0) ** 2 * (mean**2 + var * (1.0 - ratio)),
     )

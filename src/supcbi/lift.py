@@ -14,10 +14,11 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .measures import GammaMixingMeasure, inv_mean, pi_quantile
+from .measures import GammaMixingMeasure, _scaled_upper_gamma, inv_mean, pi_quantile
 
 __all__ = [
     "MarkovianLift",
+    "GammaContinuum",
     "ConvergenceRow",
     "build_lift",
     "convergence_report",
@@ -42,6 +43,7 @@ class MarkovianLift:
     c: np.ndarray
     w: np.ndarray = field(init=False, repr=False)
     inv_mean: float = field(init=False, repr=False)
+    _cw: np.ndarray = field(init=False, repr=False)  # c and w are its rows
 
     @property
     def n(self) -> int:
@@ -56,11 +58,44 @@ class MarkovianLift:
             raise ValueError("rates must be finite, positive, and strictly increasing")
         if not np.all(c > 0.0) or abs(c.sum() - 1.0) > 1e-14:
             raise ValueError("weights must be positive and sum to one")
-        w = c / r
-        for name, value in (("r", r), ("c", c), ("w", w)):
+        cw = np.stack([c, c / r])  # one array, so that `resolvent` divides both at once
+        for name, value in (("r", r), ("c", cw[0]), ("w", cw[1]), ("_cw", cw)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "inv_mean", float(np.sum(w)))
+        object.__setattr__(self, "inv_mean", float(np.sum(self.w)))
+
+    def resolvent(self, h: float, D: float) -> tuple[float, float]:
+        """(S, T) at h >= 0, two sums that add to 1 but are not formed as one minus the other.
+
+        With a_i = r_i D, S = sum w_i a_i / (a_i + h) / R_n (with w_i a_i summed
+        as c_i D) and T = h sum w_i / (a_i + h) / R_n.
+        """
+        s, t = (self._cw / (self.r * D + h)).sum(axis=1).tolist()
+        return D * s / self.inv_mean, h * t / self.inv_mean
+
+
+@dataclass(frozen=True)
+class GammaContinuum:
+    """The Gamma measure pi in a lift's place: the n -> infinity inv_mean and resolvent.
+
+    With c = alpha - 1 and z = h / (D beta), by DLMF 13.6.6 and 8.19.1,
+    S = c z^c e^z Gamma(-c, z) and T = z^c e^z Gamma(1-c, z).
+    """
+
+    pi: GammaMixingMeasure
+
+    @property
+    def inv_mean(self) -> float:
+        return inv_mean(self.pi)
+
+    def resolvent(self, h: float, D: float) -> tuple[float, float]:
+        if h == 0.0:
+            return 1.0, 0.0
+        c, z = self.pi.alpha - 1.0, h / (D * self.pi.beta)
+        return c * _scaled_upper_gamma(c, z), z * _scaled_upper_gamma(c - 1.0, z)
+
+
+Spectrum = MarkovianLift | GammaContinuum  # what the stationary moments and control formulas read
 
 
 def build_lift(pi: GammaMixingMeasure, m: int) -> MarkovianLift:

@@ -7,7 +7,7 @@ measure nu(dz) = exp(-c2 z) z^(-(1+c1)) dz drives the jumps; its moments have
 the closed form M_k = Gamma(k - c1) * c2^(c1 - k), and its tails above a
 truncation level follow from the upper incomplete gamma function Gamma(-c, x).
 Where scipy's functions would cancel or overflow, one integral evaluates it,
-`_scaled_upper_gamma`, for the tail mass and for `control.continuum_J_K_P`.
+`_scaled_upper_gamma`, for the tail mass and for `lift.GammaContinuum`.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def levy_moment(nu: TemperedStableLevy, k: int) -> float:
 
 
 def _scaled_upper_gamma(c: float, x: float) -> float:
-    """x^c e^x Gamma(-c, x) for x > 0 and c > -1e-2, to about 1e-15 relative.
+    """x^c e^x Gamma(-c, x) for x > 0 and c > -1, to about 1e-15 relative.
 
     With z = x e^v, it is the integral over v > 0 of exp(-c v - x expm1(v)):
     positive, so nothing cancels (and gamma(-c) cannot overflow), and below

@@ -19,7 +19,7 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .lift import MarkovianLift
+from .lift import MarkovianLift, Spectrum
 from .measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
 
 __all__ = [
@@ -96,12 +96,12 @@ def _d_from_b(b: float, m1: float) -> float:
     return d
 
 
-def stationary_mean(model: SupCbiModel, lift: MarkovianLift) -> float:
+def stationary_mean(model: SupCbiModel, lift: Spectrum) -> float:
     """E[Y_n] = (A*M1/D) * sum(c_i/r_i); baseflow not included."""
     return model.A * model.M1 / model.D * lift.inv_mean
 
 
-def stationary_variance(model: SupCbiModel, lift: MarkovianLift) -> float:
+def stationary_variance(model: SupCbiModel, lift: Spectrum) -> float:
     """Var[Y_n] = (A*M2 / (2 D^2)) * sum(c_i/r_i)."""
     return 0.5 * model.A * model.M2 / model.D**2 * lift.inv_mean
 

@@ -146,7 +146,7 @@ class TestSolveCommand:
 
     def test_unattainable_pbar_is_infeasible_whatever_the_kbar(self, tmp_path, capsys):
         # P >= (1-q)^2 E[Y]^2 = Qabs^2 = 0.04; the cost root for Kbar = 1e300 lies
-        # beyond the float range, but the infeasible Pbar is the cause to report
+        # near the top of the float range, but the infeasible Pbar is the cause to report
         cfg = write_cfg(tmp_path, MODEL_CFG + "m = 2\nQabs = 0.2\nPbar = 0.01\nKbar = 1e300\n")
         assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INFEASIBLE
         assert "below the attainable minimum" in capsys.readouterr().err

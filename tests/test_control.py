@@ -16,7 +16,6 @@ from supcbi.control import (
     _apply_perturbation,
     bke_residual_J,
     bke_residual_K,
-    continuum_J_K_P,
     cost_bke_coefficients,
     eval_J,
     eval_K,
@@ -30,7 +29,7 @@ from supcbi.control import (
     variance_bke_coefficients,
     write_sweep_csv,
 )
-from supcbi.lift import build_lift
+from supcbi.lift import GammaContinuum, build_lift
 from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, inv_mean, levy_moment
 from supcbi.process import SupCbiModel, stationary_mean, stationary_variance
 
@@ -454,8 +453,8 @@ class TestSweep:
 
     def test_unattainable_pbar_is_every_rows_error_without_cost_roots(self, model_lift):
         # the variability bound fails for every kbar, so no cost root is solved,
-        # and kbar = 1e300, whose cost root lies beyond the float range, reports
-        # the infeasible pbar too
+        # and kbar = 1e300, whose cost root lies near the top of the float
+        # range, reports the infeasible pbar too
         model, lift = model_lift
         total = model.baseflow + stationary_mean(model, lift)
         q = 0.6
@@ -472,9 +471,9 @@ class TestSweep:
         assert all(row.solution is None for row in rows)
 
     def test_variability_solution_where_the_cost_root_cannot_be_bracketed(self, model_lift):
-        # K(h) grows only linearly for h far above the rates r_i D, so the cost
-        # root for kbar = 1e150 lies near h = 2.6e151, and for kbar = 1e300 it
-        # lies beyond the float range, where K's h^2 overflows; the variability
+        # K(h) grows only linearly for h far above the rates r_i D (K/h -> 0.038),
+        # so the cost root for kbar = 1e150 lies near h = 2.6e151, and for
+        # kbar = 1e308 near 2.6e309, beyond the float range; the variability
         # bound binds far below either, and no cost root is needed for it
         model, lift = model_lift
         total = model.baseflow + stationary_mean(model, lift)
@@ -484,37 +483,35 @@ class TestSweep:
         h_cost = solve_hbar(model, lift, q, 1e150)
         assert eval_K(model, lift, q, h_cost) == pytest.approx(1e150, rel=1e-12)
         with pytest.raises(RuntimeError, match="float range"):
-            solve_hbar(model, lift, q, 1e300)
+            solve_hbar(model, lift, q, 1e308)
         h_var = solve_pbar_h(model, lift, q, pbar)
-        for kbar in (1e150, 1e300):
+        for kbar in (1e150, 1e308):
             problem = ControlProblem(model=model, lift=lift, kbar=kbar, qhat=q * total, pbar=pbar)
             sol = solve(problem)
             assert (sol.active_constraint, sol.hbar) == ("variability", h_var)
             assert sweep(problem, [kbar])[0].solution == sol
 
     def test_cost_root_up_to_the_float_range_and_refused_beyond(self, model_lift):
-        # doubling hi stops only at the float range, so every cost root below
-        # it is found; K forms h^2, which overflows above h = 1.34e154, so a
-        # root beyond that is refused rather than placed on the overflow edge
+        # doubling hi stops only at the float range, and K is formed without
+        # h^2, so every cost root below the float range is found: K/h -> 0.038
+        # puts the root for kbar = 1e300 near h = 2.6e301; the root for
+        # kbar = 1e308 lies near 2.6e309, beyond it, and is refused
         model, lift = model_lift
         total = model.baseflow + stationary_mean(model, lift)
         q = 0.6
         problem = ControlProblem(model=model, lift=lift, kbar=1.0, qhat=q * total)
-        for kbar in (1e100, 1e120, 1e150):
+        for kbar in (1e100, 1e120, 1e150, 1e200, 1e300):
             h = solve_hbar(model, lift, q, kbar)
             assert eval_K(model, lift, q, h) == pytest.approx(kbar, rel=1e-12)
             sol = solve(replace(problem, kbar=kbar))
             assert (sol.active_constraint, sol.hbar) == ("cost", h)
-        huge = (1e200, 1e300)
-        for kbar in huge:
-            with pytest.raises(RuntimeError, match="float range"):
-                solve_hbar(model, lift, q, kbar)
-            with pytest.raises(RuntimeError, match="float range"):
-                solve(replace(problem, kbar=kbar))
-        rows = sweep(problem, [1e150, *huge])
-        assert rows[0].solution.active_constraint == "cost"
-        for row in rows[1:]:
-            assert row.solution is None and "float range" in row.error
+        with pytest.raises(RuntimeError, match="float range"):
+            solve_hbar(model, lift, q, 1e308)
+        with pytest.raises(RuntimeError, match="float range"):
+            solve(replace(problem, kbar=1e308))
+        rows = sweep(problem, [1e150, 1e300, 1e308])
+        assert [row.solution.active_constraint for row in rows[:2]] == ["cost", "cost"]
+        assert rows[2].solution is None and "float range" in rows[2].error
 
 
 class TestBkeResiduals:
@@ -772,13 +769,18 @@ def _quadrature_J_K_P(model, q, h):
     )
 
 
+def _continuum_J_K_P(model, q, h):
+    continuum = GammaContinuum(model.pi)
+    return tuple(f(model, continuum, q, h) for f in (eval_J, eval_K, eval_P))
+
+
 class TestContinuum:
     @pytest.mark.parametrize("alpha,beta", [(1.3, 0.5), (2.1, 0.8), (5.0, 0.1), (40.0, 0.02)])
     def test_against_quadrature(self, alpha, beta):
         model = make_model(alpha=alpha, beta=beta)
         for q in (0.3, 1.7):
             for h in (1e-3, 0.05, 0.8, 20.0, 1e3):
-                exact = continuum_J_K_P(model, q, h)
+                exact = _continuum_J_K_P(model, q, h)
                 assert exact == pytest.approx(_quadrature_J_K_P(model, q, h), rel=1e-8)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -791,7 +793,7 @@ class TestContinuum:
     # alpha = 16 + 4e-15: hyperu gave U = -63.7 here (nan at alpha = 16)
     @example(log_c=math.log10(15.0), log_z=0.0, q=0.6)
     def test_against_mpmath(self, log_c, log_z, q):
-        # alpha = 1 + c, log-spaced near 1; T/R = c z^c e^z Gamma(-c, z) at z = h / (D beta)
+        # alpha = 1 + c, log-spaced near 1; S = c z^c e^z Gamma(-c, z) at z = h / (D beta)
         model = make_model(alpha=1.0 + 10.0**log_c)
         pi = model.pi
         h = 10.0**log_z * model.D * pi.beta
@@ -808,24 +810,66 @@ class TestContinuum:
                 float(mh * mh * (1 - mq) ** 2 * var * ratio),
                 float((mq - 1) ** 2 * (mean**2 + var * (1 - ratio))),
             ]
-        assert list(continuum_J_K_P(model, q, h)) == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert list(_continuum_J_K_P(model, q, h)) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [1.3, 2.1, 2.329, 5.0])
+    @pytest.mark.parametrize("z", [1e-12, 1e-9, 1e-6])
+    def test_h_dependent_parts_at_small_h_against_mpmath(self, alpha, z):
+        # J - Var = Var (q^2 - 1) T and P - P_lo = (q-1)^2 Var T: T forms no
+        # difference, so both hold to rounding however small T is (the form
+        # T = 1 - S was up to 5e-4 off at z = 1e-12). A tiny A makes E[Y_n]^2
+        # negligible beside Var T, and a large q makes q^2 T dominate J, so
+        # neither subtraction below cancels
+        model = make_model(A=1e-20, alpha=alpha)
+        continuum = GammaContinuum(model.pi)
+        q, h = 1e7, z * model.D * model.pi.beta
+        var = stationary_variance(model, continuum)
+        j_part = eval_J(model, continuum, q, h) - var
+        p_part = eval_P(model, continuum, q, h) - p_bounds(model, continuum, q)[0]
+        with mpmath.workdps(50):
+            c, mz = mpmath.mpf(alpha) - 1, mpmath.mpf(z)
+            var_t = (mpmath.mpf(0.5) * model.A * model.M2 / mpmath.mpf(model.D) ** 2
+                     / (mpmath.mpf(model.pi.beta) * c) * mz**c * mpmath.exp(mz) * mpmath.gammainc(1 - c, mz))
+            exact = [float((mpmath.mpf(q) ** 2 - 1) * var_t), float((mpmath.mpf(q) - 1) ** 2 * var_t)]
+        assert [j_part, p_part] == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_uncontrolled_limit(self):
         model = make_model()
         var = 0.5 * model.A * model.M2 / model.D**2 * inv_mean(model.pi)
         mean = model.A * model.M1 / model.D * inv_mean(model.pi)
-        J, K, P = continuum_J_K_P(model, 0.6, 0.0)
+        J, K, P = _continuum_J_K_P(model, 0.6, 0.0)
         assert (J, K) == (var, 0.0)
         assert P == pytest.approx(0.16 * mean**2, rel=1e-15)
-        # the resolvent ratio tends to 1 continuously as h -> 0
-        assert continuum_J_K_P(model, 0.6, 1e-12)[0] == pytest.approx(J, rel=1e-9)
+        # the resolvent's S tends to 1 continuously as h -> 0
+        assert _continuum_J_K_P(model, 0.6, 1e-12)[0] == pytest.approx(J, rel=1e-9)
 
     def test_quadrature_converges(self):
         model = make_model()
         q, h = 0.7, 0.8
-        exact = continuum_J_K_P(model, q, h)
+        exact = _continuum_J_K_P(model, q, h)
         coarse, fine = build_lift(model.pi, 6), build_lift(model.pi, 13)
         for evaluate, value in zip((eval_J, eval_K, eval_P), exact):
             err_coarse = abs(evaluate(model, coarse, q, h) - value)
             err_fine = abs(evaluate(model, fine, q, h) - value)
             assert err_fine < err_coarse
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.floats(1.05, 20.0),
+        beta=st.floats(1e-3, 10.0),
+        q=st.floats(0.01, 0.99),
+        log_kbar=st.floats(-8.0, 8.0),
+        frac=st.floats(1e-6, 1.0 - 1e-6),
+    )
+    def test_root_solvers_run_unchanged(self, alpha, beta, q, log_kbar, frac):
+        # the lift's root solvers take the continuum as they are: K(hbar) = kbar
+        # and P(h) = pbar to rounding
+        model = make_model(alpha=alpha, beta=beta)
+        continuum = GammaContinuum(model.pi)
+        kbar = 10.0**log_kbar
+        hbar = solve_hbar(model, continuum, q, kbar)
+        assert abs(eval_K(model, continuum, q, hbar) / kbar - 1.0) <= 1e-11
+        lo, hi = p_bounds(model, continuum, q)
+        pbar = lo + frac * (hi - lo)
+        h = solve_pbar_h(model, continuum, q, pbar)
+        assert abs(eval_P(model, continuum, q, h) / pbar - 1.0) <= 1e-11

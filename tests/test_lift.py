@@ -2,9 +2,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from supcbi.lift import (
+    GammaContinuum,
     MarkovianLift,
     build_lift,
     convergence_report,
@@ -103,6 +105,42 @@ class TestLiftConstants:
         assert (lift == twin) is False and (lift != twin) is True
         cache = {lift: "lift", twin: "twin"}
         assert cache[lift] == "lift" and cache[twin] == "twin"
+
+
+class TestResolvent:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 2000),
+        seed=st.integers(0, 2**32 - 1),
+        d=st.floats(0.01, 1.0),
+        h=st.one_of(st.just(0.0), st.floats(-12.0, 12.0).map(lambda e: 10.0**e)),
+    )
+    def test_lift_halves_add_to_one(self, n, seed, d, h):
+        # on a random lift, rates over eight decades: S + T = 1, though each is
+        # its own positive sum, and both lie in [0, 1] to rounding
+        rng = np.random.default_rng(seed)
+        r = np.unique(10.0 ** rng.uniform(-4.0, 4.0, size=n))
+        c = rng.uniform(1e-3, 1.0, size=r.size)
+        lift = MarkovianLift(r=r, c=c / c.sum())
+        s, t = lift.resolvent(h, d)
+        assert 0.0 <= s <= 1.0 + 4e-15 and 0.0 <= t <= 1.0 + 4e-15
+        assert s + t == pytest.approx(1.0, rel=4e-15)
+        if h == 0.0:
+            assert t == 0.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.floats(1.001, 40.0),
+        beta=st.floats(1e-3, 10.0),
+        d=st.floats(0.01, 1.0),
+        log_z=st.floats(-12.0, 6.0),
+    )
+    def test_continuum_halves_add_to_one(self, alpha, beta, d, log_z):
+        continuum = GammaContinuum(GammaMixingMeasure(alpha=alpha, beta=beta))
+        s, t = continuum.resolvent(10.0**log_z * d * beta, d)
+        assert 0.0 <= s <= 1.0 + 4e-15 and 0.0 <= t <= 1.0 + 4e-15
+        assert s + t == pytest.approx(1.0, rel=4e-15)
+        assert continuum.resolvent(0.0, d) == (1.0, 0.0)
 
 
 class TestConvergence:

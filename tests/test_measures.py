@@ -10,6 +10,7 @@ from scipy import integrate, special, stats
 from supcbi.measures import (
     GammaMixingMeasure,
     TemperedStableLevy,
+    _scaled_upper_gamma,
     inv_mean,
     levy_moment,
     pi_quantile,
@@ -214,3 +215,17 @@ class TestTemperedStableLevy:
         nu = TemperedStableLevy(c1=-0.6, c2=1.0)
         with pytest.raises(ValueError, match="underflows"):
             nu.sample_truncated(1000.0, 5, np.random.default_rng(0))
+
+
+class TestScaledUpperGamma:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(alpha=st.floats(1.001, 40.0), log_z=st.floats(-12.0, 4.0))
+    @example(alpha=1.001, log_z=-12.0)
+    def test_down_to_c_near_minus_one_against_mpmath(self, alpha, log_z):
+        # GammaContinuum's T = z^c e^z Gamma(1-c, z) = z * _scaled_upper_gamma(c - 1, z)
+        # with c = alpha - 1, so its first argument reaches down to -1 as alpha -> 1
+        c, z = alpha - 1.0, 10.0**log_z
+        with mpmath.workdps(50):
+            mc, mz = mpmath.mpf(c), mpmath.mpf(z)
+            exact = float(mz**mc * mpmath.exp(mz) * mpmath.gammainc(1 - mc, mz))
+        assert z * _scaled_upper_gamma(c - 1.0, z) == pytest.approx(exact, rel=4e-15, abs=0.0)
