@@ -59,7 +59,7 @@ _MODEL_KEYS = {"A", "B", "D", "c1", "c2", "alpha", "beta", "Dbeta", "baseflow", 
 _GRID_KEYS = {"Kbar_grid", "sites_dir"}
 _SITE_SETTINGS = {"Qhat", "Qabs", "Pbar"}
 _KEYS = {
-    "lift": {"alpha", "beta", "Dbeta", "D", "m", "m_min", "m_max"},
+    "lift": {"alpha", "beta", "Dbeta", "D", "m_min", "m_max"},
     "solve": _MODEL_KEYS | {"Qhat", "Qabs", "Kbar", "Pbar"},
     "sweep": _MODEL_KEYS | _SITE_SETTINGS | _GRID_KEYS,
     "simulate": _MODEL_KEYS | {"horizon", "dt", "eps", "seed", "rho", "u", "xhat"},
@@ -176,17 +176,10 @@ def _control_problem(args: argparse.Namespace, config: dict[str, str], kbar: flo
         model=model,
         lift=build_lift(model.pi, _override(args.m, config, "m", 8)),
         kbar=kbar,
+        qhat=_get_float(config, "Qhat") if "Qhat" in config else None,
+        qabs=_get_float(config, "Qabs") if "Qabs" in config else None,
         pbar=_get_float(config, "Pbar") if "Pbar" in config else None,
-        **_target_kwargs(config),
     )
-
-
-def _target_kwargs(config: dict[str, str]) -> dict[str, float]:
-    if ("Qhat" in config) == ("Qabs" in config):
-        raise ConfigError("exactly one of Qhat / Qabs must be given")
-    if "Qhat" in config:
-        return {"qhat": _get_float(config, "Qhat")}
-    return {"qabs": _get_float(config, "Qabs")}
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -203,7 +196,7 @@ def _say(args: argparse.Namespace, message: str) -> None:
 def cmd_lift(args: argparse.Namespace) -> int:
     config = _parse_config(Path(args.config), "lift")
     pi = _mixing_measure(config, _get_d(config) if "Dbeta" in config else None)
-    m_max = _override(args.m, config, "m_max", _get_int(config, "m", 13))
+    m_max = _override(args.m, config, "m_max", 13)
     m_min = _get_int(config, "m_min", min(6, m_max))
     rows, lift = _convergence(pi, m_min, m_max)
     out = _out_dir(args)
@@ -366,8 +359,6 @@ def cmd_identify(args: argparse.Namespace) -> int:
             series = read_series_csv(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read series {series_path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     d_val = _get_float(config, "D", 0.5)
     max_lag = _get_int(config, "max_lag", min(int(series.values.size / 4) - 1, 200))
     mode = config.get("mode", "analytic")
@@ -392,19 +383,14 @@ def cmd_identify(args: argparse.Namespace) -> int:
 
 
 def _parse_perturb(value: str):
+    """kind,i,j,factor as (str, int, int, float); `bke_residual_J`/`_K` judge the values."""
     parts = value.split(",")
     if len(parts) != 4:
         raise ConfigError("perturb must be kind,i,j,factor")
-    kind = parts[0].strip()
-    if kind not in ("a", "b", "const"):
-        raise ConfigError(f"perturb kind must be a, b, or const, got {kind!r}")
     try:
-        i, j, factor = int(parts[1]), int(parts[2]), float(parts[3])
+        return parts[0].strip(), int(parts[1]), int(parts[2]), float(parts[3])
     except ValueError as exc:
         raise ConfigError(f"bad perturb spec {value!r}") from exc
-    if not math.isfinite(factor):
-        raise ConfigError(f"perturb factor must be finite, got {parts[3].strip()!r}")
-    return kind, i, j, factor
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -436,13 +422,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for m in (0, 1, 2):
         lift = build_lift(model.pi, m)
         n = lift.n
-        worst_j = worst_k = 0.0
-        for _ in range(n_draws):
+        residuals = np.empty((n_draws, 2))
+        for draw in range(n_draws):
             q = float(rng.uniform(0.2, 2.0))
             h = float(rng.uniform(0.05, 3.0))
             states = rng.uniform(0.0, 5.0, size=(n_states, n + 1))
-            worst_j = max(worst_j, bke_residual_J(model, lift, q, h, states, perturb=perturb))
-            worst_k = max(worst_k, bke_residual_K(model, lift, q, h, states, perturb=perturb))
+            residuals[draw] = (bke_residual_J(model, lift, q, h, states, perturb=perturb),
+                               bke_residual_K(model, lift, q, h, states, perturb=perturb))
+        # np.max, unlike max(), lets a NaN residual through to FAIL
+        worst_j, worst_k = residuals.max(axis=0)
         res_ok = worst_j <= tol and worst_k <= tol
         ok &= res_ok
         lines.append(
@@ -512,16 +500,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except InfeasibleProblem as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RuntimeError, FloatingPointError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

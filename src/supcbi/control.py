@@ -398,8 +398,12 @@ def _apply_perturbation(ansatz: QuadraticAnsatz, perturb) -> QuadraticAnsatz:
         return ansatz
     kind, i, j, factor = perturb
     n = ansatz.b.size - 1
+    if kind not in ("a", "b", "const"):
+        raise ValueError(f"perturbation kind must be a, b or const, got {kind!r}")
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError(f"perturbation indices ({i}, {j}) outside 0..{n}")
+    if not math.isfinite(factor):
+        raise ValueError(f"perturbation factor must be finite, got {factor}")
     a = ansatz.a.copy()
     b = ansatz.b.copy()
     const = ansatz.constant
@@ -408,10 +412,8 @@ def _apply_perturbation(ansatz: QuadraticAnsatz, perturb) -> QuadraticAnsatz:
         a[j, i] = a[i, j]
     elif kind == "b":
         b[i] *= factor
-    elif kind == "const":
-        const *= factor
     else:
-        raise ValueError(f"unknown coefficient kind {kind!r}")
+        const *= factor
     return QuadraticAnsatz(a=a, b=b, constant=const)
 
 
@@ -422,15 +424,16 @@ def _bke_residual(
     h: float,
     ansatz: QuadraticAnsatz,
     states: np.ndarray,
-    running_cost,
+    x0: float,
+    kappa: float,
 ) -> float:
     """Max relative residual of the stationary BKE over the sample states.
 
     The states, one (x, y_1..y_n) per row or a single 1-D state, are evaluated
-    as one batch. The jump integral of the quadratic ansatz is evaluated exactly
-    through the first and second Levy moments. The residual is scaled by the
-    largest term magnitude at each state. `running_cost(x, ys)` takes the
-    column x and the (S, n) block ys.
+    as one batch. The running cost is (x - x0 - kappa sum_k y_k)^2. The jump
+    integral of the quadratic ansatz is evaluated exactly through the first and
+    second Levy moments. The residual is scaled by the largest term magnitude
+    at each state.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.shape[0] == 0:
@@ -440,12 +443,11 @@ def _bke_residual(
     a, b, const = ansatz.a, ansatz.b, ansatz.constant
     x, ys = states[:, 0], states[:, 1:]
     grad = states @ a + b  # a is symmetric
-    run = running_cost(x, ys)
+    run = (x - x0 - kappa * np.sum(ys, axis=1)) ** 2
     drift = (-h * x + ys @ (rho - r)) * grad[:, 0]
     decay = -(ys * grad[:, 1:]) @ r
     diag = a[0, 0] + 2.0 * a[0, 1:] + np.diagonal(a)[1:]
-    lin = states @ (a[0:1] + a[1:]).T  # per-component sum over k of (a_0k + a_ik) y_k
-    jump_per_comp = 0.5 * model.M2 * diag + model.M1 * lin + model.M1 * (b[0] + b[1:])
+    jump_per_comp = 0.5 * model.M2 * diag + model.M1 * (grad[:, :1] + grad[:, 1:])
     intensity = lift.c * model.A + r * model.B * ys
     jump = np.sum(intensity * jump_per_comp, axis=1)
     terms = np.abs([np.full_like(x, const), run, drift, decay, jump])
@@ -460,20 +462,17 @@ def bke_residual_J(
     q: float,
     h: float,
     states: np.ndarray,
-    xhat: float | None = None,
     perturb=None,
 ) -> float:
     """Max relative residual of the variance BKE at the given (x, y) samples.
 
-    perturb = (kind, i, j, factor) scales one coefficient for negative-control
-    testing; kind in {"a", "b", "const"}.
+    It certifies at the target xhat = q E[Y_n] (running cost (x - xhat)^2).
+    perturb = (kind, i, j, factor) scales one coefficient by a finite factor
+    for negative-control testing; kind in {"a", "b", "const"}.
     """
-    if xhat is None:
-        xhat = q * stationary_mean(model, lift)
+    xhat = q * stationary_mean(model, lift)
     ansatz = _apply_perturbation(variance_bke_coefficients(model, lift, q, h, xhat), perturb)
-    return _bke_residual(
-        model, lift, q, h, ansatz, states, lambda x, ys: (x - xhat) ** 2
-    )
+    return _bke_residual(model, lift, q, h, ansatz, states, xhat, 0.0)
 
 
 def bke_residual_K(
@@ -486,7 +485,4 @@ def bke_residual_K(
 ) -> float:
     """Max relative residual of the cost BKE (constant L, running cost (x - q*sum(y))^2)."""
     ansatz = _apply_perturbation(cost_bke_coefficients(model, lift, q, h), perturb)
-    return _bke_residual(
-        model, lift, q, h, ansatz, states,
-        lambda x, ys: (x - q * np.sum(ys, axis=1)) ** 2,
-    )
+    return _bke_residual(model, lift, q, h, ansatz, states, 0.0, q)

@@ -37,6 +37,9 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, "alpha = 2.0\nbeta = 1.0\nbogus = 1\n")
         assert run(["lift", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        # lift sets its largest level by m_max or --m only
+        cfg = write_cfg(tmp_path, "alpha = 2.0\nbeta = 1.0\nm = 5\n")
+        assert run(["lift", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
     def test_missing_key_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, "beta = 1.0\n")
@@ -439,10 +442,21 @@ class TestVerifyCommand:
         assert "outside 0..1" in capsys.readouterr().err
         assert not (tmp_path / "verify.txt").exists()
 
-    @pytest.mark.parametrize("key", ["Qhat = 1.0", "Qabs = 0.1", "Kbar = 1.0", "perturb = a,0,0,nan"])
+    @pytest.mark.parametrize(
+        "key", ["Qhat = 1.0", "Qabs = 0.1", "Kbar = 1.0", "perturb = a,0,0,nan", "perturb = z,0,0,1.01"]
+    )
     def test_unused_keys_and_non_finite_factor_rejected(self, tmp_path, key):
         cfg = write_cfg(tmp_path, self.CFG + key + "\n")
         assert run(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_CONFIG
+        assert not (tmp_path / "verify.txt").exists()
+
+    def test_nan_residual_fails(self, tmp_path, monkeypatch):
+        # max(0.0, nan) is 0.0: the worst residual must not read a NaN as 0.000e+00 and pass
+        monkeypatch.setattr("supcbi.cli.bke_residual_J", lambda *args, **kwargs: math.nan)
+        cfg = write_cfg(tmp_path, self.CFG)
+        assert run(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_NUMERICAL
+        lines = (tmp_path / "verify.txt").read_text().splitlines()
+        assert sum(line.startswith("FAIL BKE residuals") for line in lines) == 3
 
     @pytest.mark.parametrize("counts", ["states = 0\ndraws = 4\n", "states = 20\ndraws = 0\n"])
     @pytest.mark.parametrize("perturb", ["", "perturb = a,0,0,1.01\n"])

@@ -554,6 +554,16 @@ class TestBkeResiduals:
         with pytest.raises(ValueError, match="outside 0..2"):
             bke_residual_K(model, lift, 0.5, 0.1, states, perturb=perturb)
 
+    @pytest.mark.parametrize("perturb", [("a", 0, 0, math.nan), ("z", 0, 0, 1.01)])
+    def test_perturbation_kind_and_factor_checked(self, model_lift, perturb):
+        # the certificate, not its caller, refuses a kind it does not know and a NaN factor
+        model, lift = model_lift
+        states = np.ones((3, lift.n + 1))
+        with pytest.raises(ValueError, match="perturbation (kind|factor)"):
+            bke_residual_J(model, lift, 0.5, 0.1, states, perturb=perturb)
+        with pytest.raises(ValueError, match="perturbation (kind|factor)"):
+            bke_residual_K(model, lift, 0.5, 0.1, states, perturb=perturb)
+
     def test_empty_state_set_rejected(self, model_lift):
         model, lift = model_lift
         states = np.empty((0, lift.n + 1))
