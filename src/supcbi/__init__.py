@@ -45,6 +45,7 @@ from .process import (
     acf_lift,
     path_stats,
     simulate,
+    simulate_replicates,
     stationary_mean,
     stationary_variance,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "q_from_target",
     "read_series_csv",
     "simulate",
+    "simulate_replicates",
     "solve",
     "solve_hbar",
     "stationary_mean",

@@ -36,6 +36,7 @@ from .process import (
     grid_mean_variance,
     path_stats,
     simulate,
+    simulate_replicates,
     stationary_mean,
     stationary_variance,
     write_path_csv,
@@ -445,12 +446,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lift = build_lift(model.pi, _override(args.m, config, "m", 2))
     trunc = model.truncated(eps)
     reps = 8
-    means = np.empty(reps)
-    for rep in range(reps):
-        path = simulate(model, lift, horizon=horizon, dt=dt, eps=eps, seed=seed, replicate=rep)
-        means[rep] = float(np.mean(path.y_total))
-    mc_mean = float(np.mean(means))
-    se = math.sqrt(grid_mean_variance(trunc, lift, path.y_total.size, dt) / reps)
+    paths = simulate_replicates(model, lift, horizon=horizon, dt=dt, eps=eps, seed=seed, count=reps)
+    mc_mean = float(np.mean([np.mean(path.y_total) for path in paths]))
+    se = math.sqrt(grid_mean_variance(trunc, lift, paths[0].y_total.size, dt) / reps)
     cf_mean = stationary_mean(trunc, lift)
     mc_ok = abs(mc_mean - cf_mean) <= 3.0 * se
     ok &= mc_ok

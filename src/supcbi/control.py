@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import IO, Callable, Optional, Sequence
 
@@ -183,14 +184,21 @@ def solve_hbar(model: SupCbiModel, lift: Spectrum, q: float, kbar: float) -> flo
     root lies at or above h0 = sqrt(kbar / ((1-q)^2 Var)). Brent's method
     finds it on [0, hi], with hi doubled from max(h0, 1) until it brackets
     the root, as for the variability root; K has no h^2 to overflow, so only
-    a root beyond the float range is refused, with a RuntimeError.
+    a root beyond the float range is refused, with a RuntimeError. Since
+    h S <= D / R_n, the root also lies at or above h1 = kbar R_n /
+    ((1-q)^2 Var D), so the doublings of max(h0, 1) below h1 cannot bracket
+    it and are skipped; hi, and so the root, is what the doubling gives.
     """
     if not q > 0.0 or abs(1.0 - q) <= _REL_TOL:
         raise ValueError(f"root solving needs q > 0 and |1 - q| > {_REL_TOL:g}")
     if not kbar > 0.0:
         raise ValueError("kbar must be positive")
     scale = (1.0 - q) ** 2 * stationary_variance(model, lift)
-    h = _bracket_root(lambda h: eval_K(model, lift, q, h), kbar, max(math.sqrt(kbar / scale), 1.0))
+    start = max(math.sqrt(kbar / scale), 1.0)
+    h1 = min(kbar * lift.inv_mean / (scale * model.D), sys.float_info.max)
+    if h1 > start:
+        start *= 2.0 ** math.floor(math.log2(h1 / start))
+    h = _bracket_root(lambda h: eval_K(model, lift, q, h), kbar, start)
     if h is None:
         raise RuntimeError(f"the cost root for kbar = {kbar:.6g} lies beyond the float range")
     return h

@@ -92,6 +92,8 @@ class GammaContinuum:
         if h == 0.0:
             return 1.0, 0.0
         c, z = self.pi.alpha - 1.0, h / (D * self.pi.beta)
+        if z == math.inf:  # h near the float maximum: S = c / z and T = 1 to rounding
+            return c * D * self.pi.beta / h, 1.0
         return c * _scaled_upper_gamma(c, z), z * _scaled_upper_gamma(c - 1.0, z)
 
 

@@ -143,20 +143,24 @@ class TemperedStableLevy:
         pareto = c1 > c2 * eps
         out = np.empty(size)
         filled = 0
-        while filled < size:
-            batch = max(2 * (size - filled), 64)
-            if pareto:
-                # a z that overflows to inf (or a uniform of 0) is rejected: exp(-inf) = 0
-                with np.errstate(over="ignore", divide="ignore"):
-                    z = eps * rng.uniform(size=batch) ** (-1.0 / c1)
-                accept = rng.uniform(size=batch) < np.exp(-c2 * (z - eps))
-            else:
-                z = eps + rng.exponential(scale=1.0 / c2, size=batch)
-                accept = rng.uniform(size=batch) < (eps / z) ** (1.0 + c1)
-            z = z[accept]
-            take = min(z.size, size - filled)
-            out[filled : filled + take] = z[:take]
-            filled += take
+        # a Pareto z that overflows to inf (or a uniform of 0) is rejected: exp(-inf) = 0
+        with np.errstate(over="ignore", divide="ignore"):
+            while filled < size:
+                batch = max(2 * (size - filled), 64)
+                if pareto:
+                    # one call draws a round's proposals and then its acceptance
+                    # uniforms; the proposals overwrite their uniforms
+                    u = rng.uniform(size=2 * batch)
+                    z = np.power(u[:batch], -1.0 / c1, out=u[:batch])
+                    z *= eps
+                    accept = u[batch:] < np.exp(-c2 * (z - eps))
+                else:
+                    z = eps + rng.exponential(scale=1.0 / c2, size=batch)
+                    accept = rng.uniform(size=batch) < (eps / z) ** (1.0 + c1)
+                z = z[accept]
+                take = min(z.size, size - filled)
+                out[filled : filled + take] = z[:take]
+                filled += take
         return out
 
 
@@ -172,12 +176,17 @@ def _scaled_upper_gamma(c: float, x: float) -> float:
 
     With z = x e^v, it is the integral over v > 0 of exp(-c v - x expm1(v)):
     positive, so nothing cancels (and gamma(-c) cannot overflow), and below
-    exp(-750) beyond v = log1p(750 / x).
+    exp(-750) beyond v = log1p(750 / x). That interval is about 750 / x wide
+    for large x, and near the top of the float range it nears the underflow
+    threshold, below which quad cannot bisect it. So quad integrates over
+    u = (1 + x) v, whose interval is 34 wide at x = 1e-12, 13 at x = 1 and
+    tends to 750 as x grows.
     """
+    s = 1.0 + x
     return integrate.quad(
-        lambda v: math.exp(-c * v - x * math.expm1(v)),
-        0.0, math.log1p(750.0 / x), epsabs=0.0, epsrel=1e-13, limit=200,
-    )[0]
+        lambda u: math.exp(-c * u / s - x * math.expm1(u / s)),
+        0.0, s * math.log1p(750.0 / x), epsabs=0.0, epsrel=1e-13, limit=200,
+    )[0] / s
 
 
 def _check_moment_order(k: int) -> None:

@@ -5,8 +5,10 @@ event-driven Monte Carlo simulator of the lifted system with optional static
 feedback control. The jumps come from one cluster sampler: each component's
 immigrants are drawn in turn, then each later generation of children is
 drawn once for a whole batch of components (all of them unless the path is
-long); with B = 0 only the immigrants are drawn. Small jumps below a
-truncation level eps are dropped;
+long); with B = 0 only the immigrants are drawn. Independent replicate
+paths are more immigrant streams of the same pass, one lane per component
+and path: `simulate_replicates` draws several paths at once, and `simulate`
+is its one-lane case. Small jumps below a truncation level eps are dropped;
 all closed-form comparisons against simulation use the eps-truncated moments
 so the truncation bias cancels.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import IO, Optional
 
 import numpy as np
@@ -34,6 +37,7 @@ __all__ = [
     "acf_lift",
     "grid_mean_variance",
     "simulate",
+    "simulate_replicates",
     "path_stats",
     "write_path_csv",
 ]
@@ -192,59 +196,81 @@ def _component_events(
     eps: float,
     horizon: float,
     rng: np.random.Generator,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Jump times and sizes on [0, horizon] of the lift components with weights c and rates r.
+    lanes: int,
+) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
+    """Jump times and sizes on [0, horizon] of `lanes` paths of the components c, r.
 
     Cluster (branching) representation of the self-exciting intensity
     (c_i A + r_i B Y_i) nubar (Hawkes and Oakes 1974): component i's
     immigrants form a Poisson stream at rate c_i A nubar, and each jump of
-    size z has Poisson(B z nubar) children at Exp(r_i) delays. Immigrants
-    and their sizes are drawn per component, in component order. Each later
-    generation is drawn once for all the components: np.repeat carries
-    every parent's rate to its children, so a generation stays grouped by
-    component (the rates increase) and splits into per-component slices
-    without a sort. Children past the horizon are dropped with their
-    descendants, which would come later still. The mean number of children
-    per jump is B M1(eps) = 1 - D_eps < 1, so the generations die out. With
-    B = 0 no generation is drawn: each component gets its sorted immigrant
-    stream. Returns one (times, sizes) pair per component, in order.
+    size z has Poisson(B z nubar) children at Exp(r_i) delays. Independent
+    paths are just more immigrant streams: component i of path k is lane
+    i * lanes + k. Each component's immigrants are drawn for all its lanes
+    at once (counts, uniform times sorted within each lane, sizes). Each
+    later generation is drawn once for all the lanes: np.repeat carries
+    every parent's lane to its children, so a generation stays grouped by
+    lane and one searchsorted splits it per lane. Children past the horizon
+    are dropped with their descendants, which would come later still. The
+    mean number of children per jump is B M1(eps) = 1 - D_eps < 1, so the
+    generations die out; with B = 0 none is drawn. Returns one
+    (times, sizes, counts) triple per component, in order, with its jumps
+    grouped by path: counts[k] jumps of path k, its immigrants in time
+    order and then its children generation by generation.
     """
     immigrants = []
     for c_i in c:
-        times = np.sort(rng.uniform(0.0, horizon, size=rng.poisson(c_i * model.A * nubar * horizon)))
-        immigrants.append((times, model.nu.sample_truncated(eps, times.size, rng)))
+        counts = rng.poisson(c_i * model.A * nubar * horizon, size=lanes).tolist()
+        ends = [0, *accumulate(counts)]
+        times = rng.uniform(0.0, horizon, size=ends[-1])
+        for lo, hi in zip(ends, ends[1:]):
+            times[lo:hi].sort()
+        immigrants.append((times, model.nu.sample_truncated(eps, times.size, rng), counts))
     if model.B == 0.0:
         return immigrants
-    generations = [immigrants]
-    rate = np.repeat(r, [times.size for times, _ in immigrants])
-    times, sizes = (np.concatenate(column) for column in zip(*immigrants))
+    times, sizes, per_component = zip(*immigrants)
+    times, sizes = np.concatenate(times), np.concatenate(sizes)
+    counts = [k for own in per_component for k in own]
+    ends = [0, *accumulate(counts)]
+    generations = [[(times[a:b], sizes[a:b]) for a, b in zip(ends, ends[1:])]]
+    lane = np.repeat(np.arange(len(counts)), counts)
+    rate = np.repeat(r, lanes)
+    later_lanes = np.arange(1, len(counts))
     while times.size:
         kids = rng.poisson(model.B * nubar * sizes)
-        rate = np.repeat(rate, kids)
-        times = np.repeat(times, kids) + rng.exponential(size=rate.size) / rate
+        lane = np.repeat(lane, kids)
+        times = np.repeat(times, kids) + rng.exponential(size=lane.size) / rate[lane]
         keep = times <= horizon
-        rate, times = rate[keep], times[keep]
+        lane, times = lane[keep], times[keep]
         sizes = model.nu.sample_truncated(eps, times.size, rng)
-        bounds = [*np.searchsorted(rate, r).tolist(), rate.size]
-        generations.append([(times[a:b], sizes[a:b]) for a, b in zip(bounds, bounds[1:])])
-    # per component, its slice of every generation, in generation order
-    return [tuple(map(np.concatenate, zip(*slices))) for slices in zip(*generations)]
+        ends = [0, *np.searchsorted(lane, later_lanes).tolist(), lane.size]
+        generations.append([(times[a:b], sizes[a:b]) for a, b in zip(ends, ends[1:])])
+    # per lane, its slice of every generation, in generation order
+    per_lane = list(zip(*generations))
+    events = []
+    for i in range(c.size):
+        own = per_lane[i * lanes : (i + 1) * lanes]
+        times, sizes = map(np.concatenate, zip(*(pair for slices in own for pair in slices)))
+        events.append((times, sizes, [sum(t.size for t, _ in slices) for slices in own]))
+    return events
 
 
 def _decay_scan(x: np.ndarray, decay: float) -> np.ndarray:
-    """First-order recursion y[0] = 0, y[k] = decay * y[k-1] + x[k], as a doubling scan.
+    """First-order recursion y[0] = 0, y[k] = decay * y[k-1] + x[k] along the first axis.
 
-    After the round with shift s, y[k] holds sum(decay^j x[k-j], j < 2s); each
-    round adds decay^s times the array shifted by s, then squares the factor
-    (Kogge and Stone 1973). That is about log2(size) numpy passes. The
-    factor only shrinks, so nothing overflows, and the scan stops early once
-    it underflows to 0.
+    A doubling scan: after the round with shift s, y[k] holds
+    sum(decay^j x[k-j], j < 2s); each round adds decay^s times the array
+    shifted by s, then squares the factor (Kogge and Stone 1973). That is
+    about log2(len(x)) numpy passes. The factor only shrinks, so nothing
+    overflows, and the scan stops early once it underflows to 0. A row of
+    a 2-D x is one step of several recursions, one per column; the rounds
+    shift the flat array by whole rows, so they cost what 1-D rounds do.
     """
     y = x.astype(float)  # a copy; bincount of no jumps gives an int array
     y[:1] = 0.0
-    s, f = 1, decay
-    while s < y.size and f != 0.0:
-        y[s:] += f * y[:-s]
+    flat = y.reshape(-1)  # a view of the contiguous copy
+    s, f = flat.size // len(y), decay
+    while s < flat.size and f != 0.0:
+        flat[s:] += f * flat[:-s]
         s, f = 2 * s, f * f
     return y
 
@@ -277,7 +303,44 @@ def simulate(
     the grid spacing dt only sets the recording times. A burn-in of ten slowest
     e-folding times (and ten controller relaxation times when controlled) is
     discarded to approximate stationarity from the zero initial condition.
+    The path is drawn from the generator seeded (seed, replicate).
     """
+    rng = np.random.default_rng((seed, replicate))
+    return _simulate(model, lift, horizon, dt, eps, rng, 1, controller)[0]
+
+
+def simulate_replicates(
+    model: SupCbiModel,
+    lift: MarkovianLift,
+    horizon: float,
+    dt: float,
+    eps: float,
+    seed: int,
+    count: int,
+    controller: Controller | None = None,
+) -> list[SimulatedPath]:
+    """`count` independent paths as `simulate` draws them, drawn together in one cluster pass.
+
+    They come from the generator seeded (seed, 0): count = 1 gives the bytes
+    of simulate(..., replicate=0), and more lanes share that stream, so no
+    lane then repeats a `simulate` replicate.
+    """
+    if count < 1:
+        raise ValueError(f"need at least one replicate, got {count}")
+    return _simulate(model, lift, horizon, dt, eps, np.random.default_rng((seed, 0)), count, controller)
+
+
+def _simulate(
+    model: SupCbiModel,
+    lift: MarkovianLift,
+    horizon: float,
+    dt: float,
+    eps: float,
+    rng: np.random.Generator,
+    lanes: int,
+    controller: Controller | None,
+) -> list[SimulatedPath]:
+    """`lanes` paths of `simulate`: column k of each (steps, lanes) grid array is path k."""
     if dt <= 0.0 or horizon <= 0.0:
         raise ValueError("horizon and dt must be positive")
     if eps <= 0.0:
@@ -295,35 +358,41 @@ def simulate(
             f"expected jump count {expected:.3g} exceeds budget {_MAX_EXPECTED_JUMPS:.3g}; "
             "raise eps or shorten the horizon"
         )
-    rng = np.random.default_rng((seed, replicate))
 
     steps = int(math.floor(total / dt)) + 1
     k0 = int(math.ceil(burn / dt))
     grid = np.arange(steps) * dt
 
-    y_total = np.zeros(steps)
+    y_total = np.zeros((steps, lanes))
     h = rho = None
     if controller is not None:
         h = controller.rho - controller.u
         rho = controller.rho
-        z_forcing = np.zeros(steps)  # per-step convolution increments for the smooth part
+        z_forcing = np.zeros((steps, lanes))  # per-step convolution increments for the smooth part
 
     # consecutive components share the generation rounds of a batch of about
-    # _BATCH_JUMPS expected jumps, whose arrays stay small
-    batch = np.floor(expected * (np.cumsum(lift.c) - lift.c) / _BATCH_JUMPS)
+    # _BATCH_JUMPS expected jumps over all lanes, whose arrays stay small
+    batch = np.floor(lanes * expected * (np.cumsum(lift.c) - lift.c) / _BATCH_JUMPS)
     starts = [*np.flatnonzero(np.diff(batch, prepend=-1.0)).tolist(), lift.n]
     for a, b in zip(starts, starts[1:]):
-        events = _component_events(model, lift.c[a:b], lift.r[a:b], nubar, eps, grid[-1], rng)
-        for r_i, (times, sizes) in zip(lift.r[a:b], events):
-            bins = np.minimum((np.floor(times / dt)).astype(int) + 1, steps - 1)
-            # contribution of each jump to the component value at the end of its bin
-            w = sizes * np.exp(-r_i * (bins * dt - times))
-            yi = _decay_scan(np.bincount(bins, weights=w, minlength=steps), math.exp(-r_i * dt))
-            y_total += yi
+        events = _component_events(model, lift.c[a:b], lift.r[a:b], nubar, eps, grid[-1], rng, lanes)
+        for r_i, (times, sizes, counts) in zip(lift.r[a:b], events):
+            cells = np.minimum((np.floor(times / dt)).astype(int) + 1, steps - 1)
+            # contribution of each jump to the component value at the end of its step
+            w = sizes * np.exp(-r_i * (cells * dt - times))
             if controller is not None:
                 # integral of exp(-h*(t_k - s)) Y_i(s) ds over each step, exact
-                g = sizes * _exp_diff(r_i, h, bins * dt - times)
-                gb = np.bincount(bins, weights=g, minlength=steps)
+                g = sizes * _exp_diff(r_i, h, cells * dt - times)
+            # one bincount cell per (step, path), in the row-major order of a grid array
+            cells *= lanes
+            ends = list(accumulate(counts))
+            for k, (lo, hi) in enumerate(zip(ends, ends[1:]), start=1):
+                cells[lo:hi] += k
+            yi = _decay_scan(np.bincount(cells, weights=w, minlength=steps * lanes).reshape(steps, lanes),
+                             math.exp(-r_i * dt))
+            y_total += yi
+            if controller is not None:
+                gb = np.bincount(cells, weights=g, minlength=steps * lanes).reshape(steps, lanes)
                 step_w = _exp_diff(r_i, h, dt)
                 # forcing from the state at the step start plus within-step jumps
                 z_forcing[1:] += yi[:-1] * step_w + gb[1:]
@@ -334,13 +403,16 @@ def simulate(
         x = _decay_scan(controller.u * z_forcing, math.exp(-h * dt)) + y_total
         c_rate = -h * x + rho * y_total
 
-    sl = slice(k0, steps)
-    return SimulatedPath(
-        t=grid[sl] - grid[k0],
-        y_total=y_total[sl],
-        x=None if x is None else x[sl],
-        c_rate=None if c_rate is None else c_rate[sl],
-    )
+    t = grid[k0:] - grid[k0]
+    return [
+        SimulatedPath(
+            t=t,
+            y_total=y_total[k0:, k],
+            x=None if x is None else x[k0:, k],
+            c_rate=None if c_rate is None else c_rate[k0:, k],
+        )
+        for k in range(lanes)
+    ]
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -513,6 +514,25 @@ class TestSweep:
         assert [row.solution.active_constraint for row in rows[:2]] == ["cost", "cost"]
         assert rows[2].solution is None and "float range" in rows[2].error
 
+    @pytest.mark.parametrize("kbar, most", [(1.0, 10), (1e3, 10), (1e150, 10), (1e300, 50)])
+    def test_cost_root_bracket_skips_the_doublings_below_the_linear_bound(self, model_lift, kbar, most):
+        # h S <= D / R_n, so K(h) <= (1-q)^2 Var (D / R_n) h and the root lies
+        # at or above kbar R_n / ((1-q)^2 Var D): doubling all the way from
+        # sqrt(kbar / ((1-q)^2 Var)) took 257 K evaluations at kbar = 1e150 and
+        # 544 at 1e300. Skipping the doublings below the bound leaves the
+        # bracket, and so the root, as they were
+        model, lift = model_lift
+        q = 0.6
+        scale = (1.0 - q) ** 2 * stationary_variance(model, lift)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(control, "eval_K", lambda *args: calls.append(args) or eval_K(*args))
+            h = solve_hbar(model, lift, q, kbar)
+        plain = control._bracket_root(lambda h: eval_K(model, lift, q, h), kbar, max(math.sqrt(kbar / scale), 1.0))
+        assert h == plain and h >= kbar * lift.inv_mean / (scale * model.D)
+        assert len(calls) <= most
+        assert abs(eval_K(model, lift, q, h) / kbar - 1.0) <= 1e-12
+
 
 class TestBkeResiduals:
     def test_machine_precision_residuals(self, model_lift):
@@ -862,6 +882,37 @@ class TestContinuum:
             err_coarse = abs(evaluate(model, coarse, q, h) - value)
             err_fine = abs(evaluate(model, fine, q, h) - value)
             assert err_fine < err_coarse
+
+    @pytest.mark.parametrize("kbar", [1e300, 1e306, 1e307, 1e308])
+    def test_roots_near_the_float_range_raise_no_warning(self, kbar):
+        # K/h tends to 0.038, so the roots for kbar = 1e300 and 1e306 lie near
+        # 2.6e301 and 2.6e307, and those for 1e307 and 1e308 beyond the float
+        # range. Doubling h towards the float maximum used to make quad warn
+        # of bad integrand behaviour before the refusal: its interval
+        # [0, log1p(750 / z)] neared the underflow threshold, and z = h / (D
+        # beta) overflowed to inf
+        model = make_model()
+        continuum = GammaContinuum(model.pi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if kbar < 1e307:
+                h = solve_hbar(model, continuum, 0.6, kbar)
+                assert abs(eval_K(model, continuum, 0.6, h) / kbar - 1.0) <= 1e-12
+            else:
+                with pytest.raises(RuntimeError, match="float range"):
+                    solve_hbar(model, continuum, 0.6, kbar)
+
+    @pytest.mark.parametrize("h", [1e17, 1e300, 1e306, 1e307, 1.7e308])
+    def test_resolvent_near_the_float_maximum(self, h):
+        # far above D beta, S = c / z and T = 1 to rounding, z = h / (D beta)
+        # overflowing to inf at h = 1.7e308 included
+        model = make_model()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s, t = GammaContinuum(model.pi).resolvent(h, model.D)
+        c = model.pi.alpha - 1.0
+        assert s * h / (c * model.D * model.pi.beta) == pytest.approx(1.0, rel=1e-15)
+        assert t == pytest.approx(1.0, rel=1e-15)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(

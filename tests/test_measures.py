@@ -195,6 +195,30 @@ class TestTemperedStableLevy:
             z = TemperedStableLevy(c1=c1, c2=1.0).sample_truncated(eps, 1000, np.random.default_rng(4))
         assert z.size == 1000 and np.all(np.isfinite(z))
 
+    @pytest.mark.parametrize("c1, c2, eps", [(0.4, 1.3, 1e-3), (0.05, 1.0, 1e-2), (2e-3, 1.0, 1e-3), (0.9, 0.2, 0.5)])
+    @pytest.mark.parametrize("size", [0, 1, 20, 500, 5000])
+    def test_pareto_rounds_draw_the_two_call_stream(self, c1, c2, eps, size):
+        # a round's proposals and acceptance uniforms come from one call; the
+        # bits and the generator state are those of one call for each
+        def two_calls(rng):
+            out, filled = np.empty(size), 0
+            while filled < size:
+                batch = max(2 * (size - filled), 64)
+                with np.errstate(over="ignore", divide="ignore"):
+                    z = eps * rng.uniform(size=batch) ** (-1.0 / c1)
+                z = z[rng.uniform(size=batch) < np.exp(-c2 * (z - eps))]
+                take = min(z.size, size - filled)
+                out[filled : filled + take] = z[:take]
+                filled += take
+            return out
+
+        nu = TemperedStableLevy(c1=c1, c2=c2)
+        assert c1 > c2 * eps  # the Pareto proposal
+        for seed in range(3):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert nu.sample_truncated(eps, size, rng).tobytes() == two_calls(ref).tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
     @pytest.mark.parametrize("c1, c2", [(-0.6, 1.0), (-1.0, 0.02), (-2.5, 3.0)])
     @pytest.mark.parametrize("eps", [1e-3, 0.5, 15.0, 25.0])
     def test_negative_c1_sampler_is_the_conditioned_gamma(self, c1, c2, eps):

@@ -25,6 +25,7 @@ from supcbi.process import (
     grid_mean_variance,
     path_stats,
     simulate,
+    simulate_replicates,
     stationary_cumulants,
     stationary_mean,
     stationary_variance,
@@ -338,10 +339,10 @@ class TestSimulate:
         rng = np.random.default_rng(41)
         counts = np.empty((400, lift.n))
         for rep in range(counts.shape[0]):
-            events = _component_events(model, lift.c, lift.r, nubar, eps, horizon, rng)
+            events = _component_events(model, lift.c, lift.r, nubar, eps, horizon, rng, 1)
             assert len(events) == lift.n
-            for i, (times, sizes) in enumerate(events):
-                assert times.size == sizes.size
+            for i, (times, sizes, path_counts) in enumerate(events):
+                assert times.size == sizes.size and path_counts == [times.size]
                 assert np.all((times >= 0.0) & (times <= horizon))
                 assert np.all(sizes >= eps)
                 counts[rep, i] = times.size
@@ -359,15 +360,16 @@ class TestSimulate:
         nubar = model.nu.tail_mass(eps)
         for seed in range(6):
             rng = np.random.default_rng(seed)
-            events = _component_events(model, lift.c, lift.r, nubar, eps, horizon, rng)
+            events = _component_events(model, lift.c, lift.r, nubar, eps, horizon, rng, 1)
             ref = np.random.default_rng(seed)
             assert len(events) == lift.n
-            for c_i, (times, sizes) in zip(lift.c, events):
+            for c_i, (times, sizes, path_counts) in zip(lift.c, events):
                 n_jumps = ref.poisson(c_i * model.A * nubar * horizon)
                 ref_times = np.sort(ref.uniform(0.0, horizon, size=n_jumps))
                 ref_sizes = model.nu.sample_truncated(eps, n_jumps, ref)
                 assert times.tobytes() == ref_times.tobytes()
                 assert sizes.tobytes() == ref_sizes.tobytes()
+                assert path_counts == [n_jumps]
             assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("controlled", [False, True])
@@ -452,6 +454,78 @@ class TestSimulate:
             simulate(model, lift, horizon=-1.0, dt=1.0, eps=1e-2, seed=0)
         with pytest.raises(ValueError):
             simulate(model, lift, horizon=1.0, dt=1.0, eps=0.0, seed=0)
+
+
+class TestSimulateReplicates:
+    # the self-exciting model and 4-component lift of the batching test above
+    LIFT = MarkovianLift(r=np.array([0.6, 1.3, 2.1, 3.6]), c=np.array([0.4, 0.3, 0.2, 0.1]))
+
+    @pytest.mark.parametrize("B, controlled", [(0.0, False), (0.0, True), (0.4, False), (0.4, True)])
+    def test_one_lane_is_simulate_replicate_zero(self, B, controlled):
+        model = small_model(B=B, A=0.5)
+        lift = build_lift(model.pi, 2)
+        ctrl = Controller(rho=1.2, u=-0.4, xhat=1.0) if controlled else None
+        for seed in (3, 11):
+            (lane,) = simulate_replicates(model, lift, horizon=150.0, dt=0.5, eps=1e-3, seed=seed,
+                                          count=1, controller=ctrl)
+            path = simulate(model, lift, horizon=150.0, dt=0.5, eps=1e-3, seed=seed, controller=ctrl)
+            for a, b in ((lane.t, path.t), (lane.y_total, path.y_total), (lane.x, path.x),
+                         (lane.c_rate, path.c_rate)):
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+    def test_lanes_are_distinct_and_reproducible(self):
+        model = small_model(B=0.4, A=0.5)
+        lift = build_lift(model.pi, 1)
+        paths = simulate_replicates(model, lift, horizon=60.0, dt=0.5, eps=1e-2, seed=4, count=5)
+        again = simulate_replicates(model, lift, horizon=60.0, dt=0.5, eps=1e-2, seed=4, count=5)
+        assert [p.y_total.tobytes() for p in paths] == [p.y_total.tobytes() for p in again]
+        assert len({p.y_total.tobytes() for p in paths}) == 5
+        assert all(p.t.tobytes() == paths[0].t.tobytes() for p in paths)
+        with pytest.raises(ValueError, match="at least one"):
+            simulate_replicates(model, lift, horizon=60.0, dt=0.5, eps=1e-2, seed=4, count=0)
+
+    def test_multi_lane_poisson_case_draws_each_lanes_sorted_stream(self):
+        # with B = 0 each component draws its lanes' counts, then all their
+        # uniform times (sorted within each lane), then all their sizes
+        model = small_model()
+        lift = MarkovianLift(r=np.array([0.2, 0.7, 3.0]), c=np.array([0.5, 0.3, 0.2]))
+        eps, horizon, lanes = 1e-2, 50.0, 4
+        nubar = model.nu.tail_mass(eps)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        events = _component_events(model, lift.c, lift.r, nubar, eps, horizon, rng, lanes)
+        for c_i, (times, sizes, path_counts) in zip(lift.c, events):
+            counts = ref.poisson(c_i * model.A * nubar * horizon, size=lanes)
+            draws = ref.uniform(0.0, horizon, size=counts.sum())
+            bounds = np.cumsum(counts)[:-1]
+            ref_times = np.concatenate([np.sort(part) for part in np.split(draws, bounds)])
+            assert path_counts == counts.tolist()
+            assert times.tobytes() == ref_times.tobytes()
+            assert sizes.tobytes() == model.nu.sample_truncated(eps, counts.sum(), ref).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("batch_jumps", [process._BATCH_JUMPS, 1e-9], ids=["one-batch", "batch-per-component"])
+    def test_lane_moments_and_spread_of_lane_means(self, batch_jumps, monkeypatch):
+        # 24 lanes of one pass: the mean of the lane means against the closed
+        # form at its exact SE, the mean lane variance at the SE of the lanes'
+        # spread, and the spread of the lane means against the exact variance
+        # of a path mean (grid_mean_variance): 23 s^2 / V is chi-square with 23
+        # degrees of freedom for independent lanes, and a child sent to
+        # another lane of its component moves s^2 by orders of magnitude
+        monkeypatch.setattr(process, "_BATCH_JUMPS", batch_jumps)
+        model = small_model(B=0.4, A=0.5)
+        lift = self.LIFT
+        eps, count = 1e-3, 24
+        trunc = model.truncated(eps)
+        paths = simulate_replicates(model, lift, horizon=600.0, dt=0.5, eps=eps, seed=19, count=count)
+        means = np.array([p.y_total.mean() for p in paths])
+        variances = np.array([path_stats(p, 0).variance for p in paths])
+        v_mean = grid_mean_variance(trunc, lift, paths[0].y_total.size, 0.5)
+        z_mean = (means.mean() - stationary_mean(trunc, lift)) / math.sqrt(v_mean / count)
+        z_var = (variances.mean() - stationary_variance(trunc, lift)) / (variances.std(ddof=1) / math.sqrt(count))
+        spread = (count - 1) * means.var(ddof=1) / v_mean
+        print(f"z mean {z_mean:+.2f}, z variance {z_var:+.2f}, 23 s^2 / V = {spread:.1f}")
+        assert abs(z_mean) < 3.0 and abs(z_var) < 3.0
+        assert sps.chi2.ppf(0.0013, count - 1) < spread < sps.chi2.ppf(0.9987, count - 1)
 
 
 class TestPathStats:
