@@ -2,7 +2,9 @@
 
 Deterministic batch tool: flat key=value configs in, CSV/text reports out.
 Exit codes: 0 success, 2 config error, 3 infeasible problem, 4 numerical
-failure.
+failure. Each command returns its exit code, its reports and the text it
+echoes. `main` alone writes the reports, as UTF-8 with \\n line ends, once the
+command has returned, so a command that raises leaves no --out behind.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from .control import (
     ControlProblem,
     InfeasibleProblem,
+    SweepRow,
     bke_residual_J,
     bke_residual_K,
     solve,
@@ -43,6 +46,9 @@ from .process import (
 )
 
 __all__ = ["main"]
+
+# a command's exit code, its reports by file name, and the text it echoes
+Result = tuple[int, dict[str, str], str]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -183,30 +189,13 @@ def _control_problem(args: argparse.Namespace, config: dict[str, str], kbar: flo
     )
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _say(args: argparse.Namespace, message: str) -> None:
-    if not args.quiet:
-        print(message)
-
-
-def cmd_lift(args: argparse.Namespace) -> int:
-    config = _parse_config(Path(args.config), "lift")
-    pi = _mixing_measure(config, _get_d(config) if "Dbeta" in config else None)
+def cmd_lift(args: argparse.Namespace, config: dict[str, str]) -> Result:
+    pi = _mixing_measure(config, _get_d(config))
     m_max = _override(args.m, config, "m_max", 13)
     m_min = _get_int(config, "m_min", min(6, m_max))
     rows, lift = _convergence(pi, m_min, m_max)
-    out = _out_dir(args)
-    with open(out / "lift.csv", "w", newline="\n") as fh:
-        write_lift_csv(lift, fh)
     table = format_convergence_table(rows)
-    (out / "convergence.csv").write_text(table)
-    _say(args, table.rstrip("\n"))
-    return EXIT_OK
+    return EXIT_OK, {"lift.csv": write_lift_csv(lift), "convergence.csv": table}, table
 
 
 def _solution_lines(sol) -> list[str]:
@@ -227,14 +216,10 @@ def _solution_lines(sol) -> list[str]:
     return lines
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    config = _parse_config(Path(args.config), "solve")
+def cmd_solve(args: argparse.Namespace, config: dict[str, str]) -> Result:
     sol = solve(_control_problem(args, config, _get_float(config, "Kbar")))
-    lines = _solution_lines(sol)
-    text = "\n".join(lines) + "\n"
-    (_out_dir(args) / "solution.txt").write_text(text)
-    _say(args, text.rstrip("\n"))
-    return EXIT_OK
+    text = "\n".join(_solution_lines(sol)) + "\n"
+    return EXIT_OK, {"solution.txt": text}, text
 
 
 def _parse_grid(spec_str: str) -> list[float]:
@@ -247,24 +232,18 @@ def _parse_grid(spec_str: str) -> list[float]:
     return grid
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _parse_config(Path(args.config), "sweep")
+def cmd_sweep(args: argparse.Namespace, config: dict[str, str]) -> Result:
     if "Kbar_grid" not in config:
         raise ConfigError("missing required key 'Kbar_grid'")
     grid = _parse_grid(config["Kbar_grid"])
-    out = _out_dir(args)
     if "sites_dir" in config:
-        return _multi_site_sweep(args, config, grid, out)
+        return _multi_site_sweep(args, config, grid)
     rows = sweep(_control_problem(args, config, grid[0]), grid)
-    with open(out / "sweep.csv", "w", newline="\n") as fh:
-        write_sweep_csv(rows, fh)
-    _say(args, f"wrote {len(rows)} sweep rows to {out / 'sweep.csv'}")
-    return EXIT_OK
+    echo = f"wrote {len(rows)} sweep rows to {Path(args.out) / 'sweep.csv'}"
+    return EXIT_OK, {"sweep.csv": write_sweep_csv(rows)}, echo
 
 
-def _multi_site_sweep(
-    args: argparse.Namespace, config: dict[str, str], grid: list[float], out: Path
-) -> int:
+def _multi_site_sweep(args: argparse.Namespace, config: dict[str, str], grid: list[float]) -> Result:
     """One sweep per site config in sites_dir, and each Kbar's sites of least and most J.
 
     A key the sweep would ignore is a config error: a model key in the
@@ -276,9 +255,7 @@ def _multi_site_sweep(
     site_paths = sorted(sites_dir.glob("*.cfg"))
     if not site_paths:
         raise ConfigError(f"no *.cfg site configs found in {sites_dir}")
-    # every site's problem is built, and its config checked, before the first
-    # sweep, so that a bad site leaves no output behind
-    problems: dict[str, ControlProblem] = {}
+    per_site: dict[str, list[SweepRow]] = {}
     for path in site_paths:
         site_config = _parse_config(path, "sweep")
         if unused := sorted(site_config.keys() & _GRID_KEYS):
@@ -288,24 +265,18 @@ def _multi_site_sweep(
         for keys in (("Pbar",), ("Qhat", "Qabs")):
             if not any(key in site_config for key in keys):
                 site_config.update({key: config[key] for key in keys if key in config})
-        problems[path.stem] = _control_problem(args, site_config, grid[0])
-    per_site = {site: sweep(problem, grid) for site, problem in problems.items()}
-    for site, rows in per_site.items():
-        with open(out / f"sweep_{site}.csv", "w", newline="\n") as fh:
-            write_sweep_csv(rows, fh)
-    with open(out / "multisite.csv", "w", newline="\n") as fh:
-        fh.write("Kbar,argmin_site,argmax_site\n")
-        for idx, kbar in enumerate(grid):
-            js = {site: rows[idx].solution.J
-                  for site, rows in per_site.items() if rows[idx].solution is not None}
-            best, worst = min(js, key=js.get, default=""), max(js, key=js.get, default="")
-            fh.write(f"{kbar:.17g},{best},{worst}\n")
-    _say(args, f"wrote {len(per_site)} site sweeps and multisite.csv to {out}")
-    return EXIT_OK
+        per_site[path.stem] = sweep(_control_problem(args, site_config, grid[0]), grid)
+    reports = {f"sweep_{site}.csv": write_sweep_csv(rows) for site, rows in per_site.items()}
+    lines = ["Kbar,argmin_site,argmax_site\n"]
+    for idx, kbar in enumerate(grid):
+        js = {site: rows[idx].solution.J for site, rows in per_site.items() if rows[idx].solution is not None}
+        best, worst = min(js, key=js.get, default=""), max(js, key=js.get, default="")
+        lines.append(f"{kbar:.17g},{best},{worst}\n")
+    reports["multisite.csv"] = "".join(lines)
+    return EXIT_OK, reports, f"wrote {len(per_site)} site sweeps and multisite.csv to {Path(args.out)}"
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _parse_config(Path(args.config), "simulate")
+def cmd_simulate(args: argparse.Namespace, config: dict[str, str]) -> Result:
     model = _build_model(config)
     lift = build_lift(model.pi, _override(args.m, config, "m", 4))
     controller = None
@@ -324,9 +295,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=_override(args.seed, config, "seed", 0),
         controller=controller,
     )
-    out = _out_dir(args)
-    with open(out / "path.csv", "w", newline="\n") as fh:
-        write_path_csv(path, fh)
     stats = path_stats(path, 0)
     trunc = model.truncated(eps)
     lines = [
@@ -345,13 +313,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         lines.append(f"mean_sq_tracking_error: {float(np.mean((x - controller.xhat) ** 2)):.17g}")
         lines.append(f"mean_sq_control_rate: {float(np.mean(path.c_rate ** 2)):.17g}")
     text = "\n".join(lines) + "\n"
-    (out / "stats.txt").write_text(text)
-    _say(args, text.rstrip("\n"))
-    return EXIT_OK
+    return EXIT_OK, {"path.csv": write_path_csv(path), "stats.txt": text}, text
 
 
-def cmd_identify(args: argparse.Namespace) -> int:
-    config = _parse_config(Path(args.config), "identify")
+def cmd_identify(args: argparse.Namespace, config: dict[str, str]) -> Result:
     if "series" not in config:
         raise ConfigError("missing required key 'series'")
     series_path = Path(config["series"])
@@ -372,15 +337,10 @@ def cmd_identify(args: argparse.Namespace) -> int:
         restarts=_get_int(config, "restarts", 20),
         seed=_override(args.seed, config, "seed", 20240601),
     )
-    out = _out_dir(args)
-    with open(out / "fit_report.csv", "w", newline="\n") as fh:
-        write_fit_report_csv(report, fh)
     text = format_fit_report(report)
     if acf_fit.degenerate:
         text += "warning: ACF fit degenerate (alpha very large; decay is exponential-like)\n"
-    (out / "fit_report.txt").write_text(text)
-    _say(args, text.rstrip("\n"))
-    return EXIT_OK
+    return EXIT_OK, {"fit_report.csv": write_fit_report_csv(report), "fit_report.txt": text}, text
 
 
 def _parse_perturb(value: str):
@@ -394,8 +354,7 @@ def _parse_perturb(value: str):
         raise ConfigError(f"bad perturb spec {value!r}") from exc
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    config = _parse_config(Path(args.config), "verify")
+def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> Result:
     model = _build_model(config)
     seed = _override(args.seed, config, "seed", 0)
     n_states = _get_int(config, "states", 100)
@@ -463,9 +422,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                  f" ({bias / model.M1:.3%} of M1)")
 
     text = "\n".join(lines) + "\n"
-    (_out_dir(args) / "verify.txt").write_text(text)
-    _say(args, text.rstrip("\n"))
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    return EXIT_OK if ok else EXIT_NUMERICAL, {"verify.txt": text}, text
 
 
 @functools.cache
@@ -495,9 +452,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command, write its reports and echo its text; returns the exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code, reports, echo = args.handler(args, _parse_config(Path(args.config), args.command))
     except InfeasibleProblem as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -507,6 +465,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in reports.items():
+        (out / name).write_text(text, encoding="utf-8", newline="\n")
+    if not args.quiet:
+        print(echo.rstrip("\n"))
+    return code
 
 
 if __name__ == "__main__":

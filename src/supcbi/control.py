@@ -24,7 +24,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import IO, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import optimize
@@ -304,19 +304,21 @@ def sweep(problem: ControlProblem, kbar_grid: Sequence[float]) -> list[SweepRow]
     return rows
 
 
-def write_sweep_csv(rows: Sequence[SweepRow], out: IO[str]) -> None:
-    out.write("Kbar,hbar,rho,u,J,K,P,active_constraint\n")
+def write_sweep_csv(rows: Sequence[SweepRow]) -> str:
+    """Returns the CSV text of a sweep, one line per Kbar; a failed row holds its error."""
+    lines = ["Kbar,hbar,rho,u,J,K,P,active_constraint\n"]
     for row in rows:
         s = row.solution
         if s is None:
-            out.write(f"{row.kbar:.17g},,,,,,,error:{row.error}\n")
+            lines.append(f"{row.kbar:.17g},,,,,,,error:{row.error}\n")
             continue
         p = f"{s.P:.17g}" if s.P is not None else ""
         active = s.active_constraint if s.P is not None else ""
-        out.write(
+        lines.append(
             f"{row.kbar:.17g},{s.hbar:.17g},{s.rho:.17g},{s.u:.17g},"
             f"{s.J:.17g},{s.K:.17g},{p},{active}\n"
         )
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,8 @@ def fit_moments(
         raise ValueError(f"mode must be 'analytic' or 'full', got {mode}")
     if not 0.0 < d < 1.0:
         raise ValueError(f"D must lie in (0, 1), got {d}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     pi = GammaMixingMeasure(alpha=alpha, beta=beta)
     lift = build_lift(pi, m)
     empirical = _series_stats(series.values)
@@ -314,7 +316,7 @@ def fit_moments(
     rng = np.random.default_rng(seed)
     x0 = np.array([1.0, math.log(0.01), math.log(0.03), math.log(max(empirical["Average"], 0.1))])
     best_x, best_e = None, math.inf
-    for k in range(max(restarts, 1)):
+    for k in range(restarts):
         start = x0 if k == 0 else x0 + rng.normal(scale=1.0, size=4)
         sol = minimize(
             objective, start, method="Nelder-Mead",
@@ -361,13 +363,15 @@ def format_fit_report(report: FitReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_fit_report_csv(report: FitReport, out: IO[str]) -> None:
-    out.write("statistic,empirical,model,squared_rel_error\n")
+def write_fit_report_csv(report: FitReport) -> str:
+    """Returns the CSV text of the empirical/model comparison, full double precision."""
+    lines = ["statistic,empirical,model,squared_rel_error\n"]
     for name in _STAT_NAMES:
         emp = report.empirical[name]
         fit = report.fitted.get(name, math.nan)
         err = report.term_errors.get(name, math.nan)
         fit_str = f"{fit:.17g}" if math.isfinite(fit) else ""
         err_str = f"{err:.17g}" if math.isfinite(err) else ""
-        out.write(f"{name},{emp:.17g},{fit_str},{err_str}\n")
-    out.write(f"E,,,{report.E:.17g}\n")
+        lines.append(f"{name},{emp:.17g},{fit_str},{err_str}\n")
+    lines.append(f"E,,,{report.E:.17g}\n")
+    return "".join(lines)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -99,11 +99,13 @@ class GammaContinuum:
 
 Spectrum = MarkovianLift | GammaContinuum  # what the stationary moments and control formulas read
 
+M_MAX = 16  # the finest lift level, 65,536 atoms; each level doubles the memory of every lift computation
+
 
 def build_lift(pi: GammaMixingMeasure, m: int) -> MarkovianLift:
     """Build the quantile lift: r_i at the odd (2i-1)/(2n) quantiles, c_i = 1/n."""
-    if m < 0:
-        raise ValueError(f"lift resolution m must be nonnegative, got {m}")
+    if not 0 <= m <= M_MAX:
+        raise ValueError(f"lift resolution m must lie in 0..{M_MAX}, got {m}")
     n = 2**m
     levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
     return MarkovianLift(r=pi_quantile(pi, levels), c=np.full(n, 1.0 / n))
@@ -129,8 +131,8 @@ def _convergence(
     pi: GammaMixingMeasure, m_min: int, m_max: int
 ) -> tuple[list[ConvergenceRow], MarkovianLift]:
     """The convergence rows of m_min..m_max and the m_max lift they end with."""
-    if not 1 <= m_min <= m_max <= 16:
-        raise ValueError("resolution range must satisfy 1 <= m_min <= m_max <= 16")
+    if not 1 <= m_min <= m_max <= M_MAX:
+        raise ValueError(f"resolution range must satisfy 1 <= m_min <= m_max <= {M_MAX}")
     r_exact = inv_mean(pi)
     rows: list[ConvergenceRow] = []
     prev_err: float | None = None
@@ -144,11 +146,10 @@ def _convergence(
     return rows, lift
 
 
-def write_lift_csv(lift: MarkovianLift, out: IO[str]) -> None:
-    """CSV dump of the lift, full double precision."""
+def write_lift_csv(lift: MarkovianLift) -> str:
+    """Returns the CSV text of the lift, full double precision."""
     r, c = lift.r.tolist(), lift.c.tolist()
-    rows = [f"{i + 1},{r[i]:.17g},{c[i]:.17g}\n" for i in range(lift.n)]
-    out.write("i,r_i,c_i\n" + "".join(rows))
+    return "i,r_i,c_i\n" + "".join(f"{i + 1},{r[i]:.17g},{c[i]:.17g}\n" for i in range(lift.n))
 
 
 def format_convergence_table(rows: Sequence[ConvergenceRow]) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import IO, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -459,12 +459,12 @@ def path_stats(path, max_lag: int = 50) -> PathStats:
     return PathStats(mean, ss / (n - 1), skew, kurt, acf, degenerate=False)
 
 
-def write_path_csv(path: SimulatedPath, out: IO[str]) -> None:
-    """CSV export, fixed column order; x and c_rate empty when uncontrolled."""
+def write_path_csv(path: SimulatedPath) -> str:
+    """Returns the CSV text of the path, fixed column order; x and c_rate empty when uncontrolled."""
     if path.x is None:
         row, columns = "%.17g,%.17g,,\n", (path.t, path.y_total)
     else:
         row, columns = "%.17g,%.17g,%.17g,%.17g\n", (path.t, path.y_total, path.x, path.c_rate)
     # one % operation over the row-major values formats the whole path
     values = np.column_stack(columns).ravel().tolist()
-    out.write("t,y_total,x,c_rate\n" + (row * path.t.size) % tuple(values))
+    return "t,y_total,x,c_rate\n" + (row * path.t.size) % tuple(values)

@@ -72,9 +72,14 @@ class TestLiftCommand:
         cfg = write_cfg(tmp_path, "alpha = 2.0\nDbeta = 0.5\nD = 0.5\nm_min = 3\nm_max = 3\n")
         assert run(["lift", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
 
-    def test_beta_form_ignores_d(self, tmp_path):
-        cfg = write_cfg(tmp_path, "alpha = 2.1\nbeta = 0.5\nD = 1.5\nm_min = 3\nm_max = 3\n")
-        assert run(["lift", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+    @pytest.mark.parametrize("d", ["0", "7"])
+    def test_beta_form_still_checks_d(self, tmp_path, capsys, d):
+        # D plays no part in a beta-form lift, but a D outside (0, 1] is still a config error
+        cfg = write_cfg(tmp_path, f"alpha = 2.1\nbeta = 0.5\nD = {d}\nm_min = 3\nm_max = 3\n")
+        out = tmp_path / "out"
+        assert run(["lift", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert "D must lie in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # Dbeta and no B: D is the only source of the rate scale
@@ -107,19 +112,31 @@ class TestSolveCommand:
 
     def test_infeasible_over_abstraction(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MODEL_CFG + "Qabs = 1e6\nKbar = 1.0\nm = 2\n")
-        assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INFEASIBLE
+        out = tmp_path / "out"
+        assert run(["solve", "--config", cfg, "--out", str(out)]) == EXIT_INFEASIBLE
         assert "abstraction exceeds the mean inflow" in capsys.readouterr().err
-        assert not (tmp_path / "solution.txt").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["config", "flag"])
+    def test_lift_level_above_16_is_config_error(self, tmp_path, capsys, how):
+        # 2^m atoms: at m = 40 the lift would fail with an uncaught MemoryError
+        cfg = write_cfg(tmp_path, MODEL_CFG + "Qabs = 0.2\nKbar = 0.01\n" + ("m = 17\n" if how == "config" else ""))
+        out = tmp_path / "out"
+        flags = ["--m", "17"] if how == "flag" else []
+        assert run(["solve", "--config", cfg, "--out", str(out), *flags]) == EXIT_CONFIG
+        assert "0..16" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("qhat", ["-1", "0"])
     def test_non_positive_discharge_target_is_config_error(self, tmp_path, capsys, qhat):
         # no abstraction was asked for, so "abstraction exceeds the mean inflow" would mislead
         cfg = write_cfg(tmp_path, MODEL_CFG + f"Qhat = {qhat}\nKbar = 1.0\nm = 2\n")
-        assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        out = tmp_path / "out"
+        assert run(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "discharge target Qhat must be positive" in err
         assert "abstraction" not in err
-        assert not (tmp_path / "solution.txt").exists()
+        assert not out.exists()
 
     def test_requires_exactly_one_target(self, tmp_path):
         cfg = write_cfg(tmp_path, MODEL_CFG + "Qabs = 0.1\nQhat = 0.1\nKbar = 1.0\n")
@@ -143,17 +160,19 @@ class TestSolveCommand:
         key = bad.split("=")[0]
         lines = [line for line in good.splitlines(keepends=True) if not line.startswith(key)]
         cfg = write_cfg(tmp_path, "".join(lines) + bad + "\n")
-        assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        out = tmp_path / "out"
+        assert run(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert "not a finite number" in capsys.readouterr().err
-        assert not (tmp_path / "solution.txt").exists()
+        assert not out.exists()
 
     def test_unattainable_pbar_is_infeasible_whatever_the_kbar(self, tmp_path, capsys):
         # P >= (1-q)^2 E[Y]^2 = Qabs^2 = 0.04; the cost root for Kbar = 1e300 lies
         # near the top of the float range, but the infeasible Pbar is the cause to report
         cfg = write_cfg(tmp_path, MODEL_CFG + "m = 2\nQabs = 0.2\nPbar = 0.01\nKbar = 1e300\n")
-        assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_INFEASIBLE
+        out = tmp_path / "out"
+        assert run(["solve", "--config", cfg, "--out", str(out)]) == EXIT_INFEASIBLE
         assert "below the attainable minimum" in capsys.readouterr().err
-        assert not (tmp_path / "solution.txt").exists()
+        assert not out.exists()
 
     def test_water_abstracting_output(self, tmp_path):
         cfg = write_cfg(tmp_path, MODEL_CFG + "Qabs = 0.2\nKbar = 0.01\nm = 2\nPbar = 1.0\n")
@@ -225,9 +244,10 @@ class TestSweepCommand:
         (sites / "b.cfg").write_text(site_cfg)
         cfg = write_cfg(tmp_path, f"Kbar_grid = 0.001,0.01\nsites_dir = {sites}\n"
                         + (line + "\n" if where == "global" else ""))
-        assert run(["sweep", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_CONFIG
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
         assert repr(line.split(" = ")[0]) in capsys.readouterr().err
-        assert not (tmp_path / "multisite.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "line, error",
@@ -239,8 +259,8 @@ class TestSweepCommand:
         ids=["site-key", "site-model", "site-problem"],
     )
     def test_multi_site_bad_later_site_leaves_no_output(self, tmp_path, capsys, line, error):
-        # every site config is parsed, checked and built into a problem before
-        # the first sweep, so site b's error leaves no sweep_a.csv behind
+        # reports are written only once the command has returned, so site b's
+        # error leaves no --out, and so no sweep_a.csv, behind
         sites = tmp_path / "sites"
         sites.mkdir()
         site_cfg = MODEL_CFG + "m = 2\nQhat = 0.4\n"
@@ -250,8 +270,7 @@ class TestSweepCommand:
         out = tmp_path / "out"
         assert run(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
         assert error in capsys.readouterr().err
-        assert not (out / "sweep_a.csv").exists()
-        assert not (out / "multisite.csv").exists()
+        assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -428,11 +447,13 @@ class TestVerifyCommand:
         var = grid_mean_variance(model.truncated(0.005), lift, path.y_total.size, 0.5)
         assert float(words[11]) == pytest.approx(3.0 * math.sqrt(var / 8), rel=5e-3)
 
-    def test_corrupted_coefficient_fails(self, tmp_path):
+    def test_corrupted_coefficient_fails(self, tmp_path, capsys):
+        # a FAIL (exit 4) is a finding, not an error: verify.txt is written and echoed
         cfg = write_cfg(tmp_path, self.CFG + "perturb = a,0,0,1.01\n")
-        assert run(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_NUMERICAL
+        assert run(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERICAL
         report = (tmp_path / "verify.txt").read_text()
         assert "FAIL" in report
+        assert capsys.readouterr().out == report
 
     @pytest.mark.parametrize("perturb", ["a,7,0,1.01", "a,0,2,1.01", "b,-1,0,1.01", "b,2,0,1.01"])
     def test_perturbation_index_out_of_range(self, tmp_path, capsys, perturb):

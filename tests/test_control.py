@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 import warnings
@@ -356,9 +355,7 @@ class TestSweep:
         total = model.baseflow + stationary_mean(model, lift)
         problem = ControlProblem(model=model, lift=lift, kbar=1.0, qhat=0.6 * total)
         rows = sweep(problem, [1e-3, 1e-2])
-        buf = io.StringIO()
-        write_sweep_csv(rows, buf)
-        lines = buf.getvalue().splitlines()
+        lines = write_sweep_csv(rows).splitlines()
         assert lines[0] == "Kbar,hbar,rho,u,J,K,P,active_constraint"
         assert len(lines) == 3
         assert lines[1].endswith(",,")  # no Pbar: empty P and active columns

@@ -198,6 +198,12 @@ class TestFitMoments:
         assert report.model.B * report.model.M1 < 1.0
         assert report.model.D == pytest.approx(0.5, rel=1e-9)
 
+    @pytest.mark.parametrize("restarts", [0, -5])
+    def test_rejects_fewer_than_one_restart(self, restarts):
+        series = synthetic_series(9.029, 403.9, seed=3)
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            fit_moments(series, alpha=2.329, beta=3.149e-2 / 0.5, restarts=restarts)
+
     def test_error_metric_is_sum_of_terms(self):
         series = synthetic_series(9.029, 403.9, seed=3)
         report = fit_moments(series, alpha=2.329, beta=3.149e-2 / 0.5)
@@ -284,8 +290,6 @@ class TestFitMoments:
         for name in ("Average", "Variance", "Skewness", "Kurtosis"):
             assert name in text
         assert "Empirical" in text and "Model" in text
-        buf = io.StringIO()
-        write_fit_report_csv(report, buf)
-        lines = buf.getvalue().splitlines()
+        lines = write_fit_report_csv(report).splitlines()
         assert lines[0] == "statistic,empirical,model,squared_rel_error"
         assert lines[-1].startswith("E,,,")

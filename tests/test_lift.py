@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +37,9 @@ class TestBuildLift:
     def test_invalid_resolution(self):
         with pytest.raises(ValueError):
             build_lift(GammaMixingMeasure(alpha=2.0, beta=1.0), -1)
+        # 2^m atoms: at m = 40 the allocation alone would raise MemoryError
+        with pytest.raises(ValueError, match=r"0\.\.16"):
+            build_lift(GammaMixingMeasure(alpha=2.0, beta=1.0), 17)
 
     @pytest.mark.parametrize("alpha", [1e6, 1e8])
     def test_narrow_measure_rates_increase(self, alpha):
@@ -170,9 +171,7 @@ class TestConvergence:
 class TestOutputFormats:
     def test_lift_csv(self):
         lift = build_lift(GammaMixingMeasure(alpha=2.0, beta=1.0), 1)
-        buf = io.StringIO()
-        write_lift_csv(lift, buf)
-        lines = buf.getvalue().splitlines()
+        lines = write_lift_csv(lift).splitlines()
         assert lines[0] == "i,r_i,c_i"
         assert len(lines) == 3
         i, r, c = lines[1].split(",")

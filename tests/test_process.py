@@ -1,4 +1,3 @@
-import io
 import math
 import warnings
 
@@ -557,9 +556,7 @@ class TestPathStats:
         model = small_model()
         lift = build_lift(model.pi, 1)
         p = simulate(model, lift, horizon=10.0, dt=1.0, eps=1e-2, seed=1)
-        buf = io.StringIO()
-        write_path_csv(p, buf)
-        lines = buf.getvalue().splitlines()
+        lines = write_path_csv(p).splitlines()
         assert lines[0] == "t,y_total,x,c_rate"
         assert lines[1].endswith(",,")  # uncontrolled: empty x and c columns
         assert len(lines) == p.t.size + 1
@@ -584,11 +581,8 @@ class TestPathStats:
                 f"{tk:.17g},{yk:.17g},{xk:.17g},{ck:.17g}\n"
                 for tk, yk, xk, ck in zip(t, y, p.x.tolist(), p.c_rate.tolist())
             ]
-        buf = io.StringIO()
-        write_path_csv(p, buf)
-        assert buf.getvalue() == "t,y_total,x,c_rate\n" + "".join(rows)
-        assert "-0," in buf.getvalue() and "4.9406564584124654e-324" in buf.getvalue()
+        text = write_path_csv(p)
+        assert text == "t,y_total,x,c_rate\n" + "".join(rows)
+        assert "-0," in text and "4.9406564584124654e-324" in text
         empty = SimulatedPath(t=p.t[:0], y_total=p.y_total[:0], x=None, c_rate=None)
-        buf = io.StringIO()
-        write_path_csv(empty, buf)
-        assert buf.getvalue() == "t,y_total,x,c_rate\n"
+        assert write_path_csv(empty) == "t,y_total,x,c_rate\n"
