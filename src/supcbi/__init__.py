@@ -41,8 +41,7 @@ from .process import (
     Controller,
     SimulatedPath,
     SupCbiModel,
-    acf_gamma,
-    acf_lift,
+    acf,
     path_stats,
     simulate,
     simulate_replicates,
@@ -65,8 +64,7 @@ __all__ = [
     "SimulatedPath",
     "SupCbiModel",
     "TemperedStableLevy",
-    "acf_gamma",
-    "acf_lift",
+    "acf",
     "bke_residual_J",
     "bke_residual_K",
     "build_lift",

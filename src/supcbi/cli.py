@@ -1,10 +1,11 @@
 """Command-line surface: lift | solve | sweep | simulate | identify | verify.
 
 Deterministic batch tool: flat key=value configs in, CSV/text reports out.
-Exit codes: 0 success, 2 config error, 3 infeasible problem, 4 numerical
-failure. Each command returns its exit code, its reports and the text it
-echoes. `main` alone writes the reports, as UTF-8 with \\n line ends, once the
-command has returned, so a command that raises leaves no --out behind.
+Exit codes: 0 success, 2 config error (an --out that cannot be created or
+written included), 3 infeasible problem, 4 numerical failure. Each command
+returns its exit code, its reports and the text it echoes. `main` alone
+writes the reports, as UTF-8 with \\n line ends, once the command has
+returned, so a command that raises leaves no --out behind.
 """
 
 from __future__ import annotations
@@ -332,7 +333,6 @@ def cmd_identify(args: argparse.Namespace, config: dict[str, str]) -> Result:
     acf_fit = fit_acf(acf, d_val, dt=series.dt)
     report = fit_moments(
         series, acf_fit.alpha, acf_fit.beta, d=d_val, mode=mode,
-        m=_override(args.m, config, "m", 8),
         acf_window=acf_fit.window,
         restarts=_get_int(config, "restarts", 20),
         seed=_override(args.seed, config, "seed", 20240601),
@@ -466,9 +466,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in reports.items():
-        (out / name).write_text(text, encoding="utf-8", newline="\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in reports.items():
+            (out / name).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        print(f"config error: cannot write reports to {out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if not args.quiet:
         print(echo.rstrip("\n"))
     return code

@@ -64,7 +64,7 @@ class InfeasibleProblem(ValueError):
 @dataclass(frozen=True)
 class ControlProblem:
     model: SupCbiModel
-    lift: MarkovianLift
+    lift: Spectrum
     kbar: float
     qhat: Optional[float] = None  # target discharge, m^3/s
     qabs: Optional[float] = None  # target abstraction, m^3/s
@@ -427,6 +427,7 @@ def _apply_perturbation(ansatz: QuadraticAnsatz, perturb) -> QuadraticAnsatz:
     return QuadraticAnsatz(a=a, b=b, constant=const)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _bke_residual(
     model: SupCbiModel,
     lift: MarkovianLift,
@@ -443,7 +444,7 @@ def _bke_residual(
     as one batch. The running cost is (x - x0 - kappa sum_k y_k)^2. The jump
     integral of the quadratic ansatz is evaluated exactly through the first and
     second Levy moments. The residual is scaled by the largest term magnitude
-    at each state.
+    at each state. Overflow raises no numpy warning: it leaves a NaN residual.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.shape[0] == 0:

@@ -5,8 +5,8 @@ over its longest positive prefix. Stage two matches moments: with D fixed and
 B pinned to (1 - D)/M1, a simplex search over (c1, c2, A, baseflow) minimizes
 the sum of squared relative errors of mean, variance, skewness, and kurtosis
 (or mean and variance only in analytic mode). The model's four statistics
-are closed forms: skewness and kurtosis come from the exact stationary
-cumulants (`process.stationary_cumulants`).
+are closed forms on the Gamma continuum; skewness and kurtosis come from
+the exact stationary cumulants (`process.stationary_cumulants`).
 
 Every sample statistic of the observed series comes from `process.path_stats`:
 the ACF, the unbiased variance, and the biased standardized skewness and
@@ -24,7 +24,7 @@ from typing import IO
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
-from .lift import MarkovianLift, build_lift
+from .lift import GammaContinuum, Spectrum
 from .measures import GammaMixingMeasure, TemperedStableLevy
 from .process import SupCbiModel, _b_from_d, path_stats, stationary_cumulants, stationary_mean, stationary_variance
 
@@ -197,7 +197,7 @@ def _series_stats(values: np.ndarray) -> dict[str, float]:
 
 def _model_stats(
     model: SupCbiModel,
-    lift: MarkovianLift,
+    lift: Spectrum,
     mode: str,
     mc_seed: int | None = None,
     mc_replicates: int | None = None,
@@ -259,7 +259,7 @@ def moment_objective(
     params: np.ndarray,
     pi: GammaMixingMeasure,
     d: float,
-    lift: MarkovianLift,
+    lift: Spectrum,
     empirical: dict[str, float],
     mode: str = "analytic",
     mc_seed: int | None = None,
@@ -289,7 +289,6 @@ def fit_moments(
     beta: float,
     d: float = 0.5,
     mode: str = "analytic",
-    m: int = 8,
     acf_window: int = 0,
     restarts: int = 20,
     seed: int = 20240601,
@@ -307,11 +306,11 @@ def fit_moments(
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     pi = GammaMixingMeasure(alpha=alpha, beta=beta)
-    lift = build_lift(pi, m)
+    continuum = GammaContinuum(pi)
     empirical = _series_stats(series.values)
 
     def objective(params: np.ndarray) -> float:
-        return moment_objective(params, pi, d, lift, empirical, mode=mode)
+        return moment_objective(params, pi, d, continuum, empirical, mode=mode)
 
     rng = np.random.default_rng(seed)
     x0 = np.array([1.0, math.log(0.01), math.log(0.03), math.log(max(empirical["Average"], 0.1))])
@@ -330,7 +329,7 @@ def fit_moments(
         raise RuntimeError("moment matching failed to converge")
 
     model = _build_model(best_x, pi, d)
-    fitted = _model_stats(model, lift, mode)
+    fitted = _model_stats(model, continuum, mode)
     e, term_errors = _fit_error(fitted, empirical, mode)
     return FitReport(
         model=model,

@@ -73,10 +73,14 @@ class MarkovianLift:
         s, t = (self._cw / (self.r * D + h)).sum(axis=1).tolist()
         return D * s / self.inv_mean, h * t / self.inv_mean
 
+    def laplace(self, t: float) -> float:
+        """sum w_i e^(-r_i t) / R_n, the normalized Laplace transform of the weights w at t >= 0."""
+        return float(np.sum(self.w * np.exp(-t * self.r))) / self.inv_mean
+
 
 @dataclass(frozen=True)
 class GammaContinuum:
-    """The Gamma measure pi in a lift's place: the n -> infinity inv_mean and resolvent.
+    """The Gamma measure pi in a lift's place: the n -> infinity inv_mean, resolvent and laplace.
 
     With c = alpha - 1 and z = h / (D beta), by DLMF 13.6.6 and 8.19.1,
     S = c z^c e^z Gamma(-c, z) and T = z^c e^z Gamma(1-c, z).
@@ -96,8 +100,12 @@ class GammaContinuum:
             return c * D * self.pi.beta / h, 1.0
         return c * _scaled_upper_gamma(c, z), z * _scaled_upper_gamma(c - 1.0, z)
 
+    def laplace(self, t: float) -> float:
+        """(1 + beta t)^-(alpha-1), the integral of e^(-r t) / r against pi over R."""
+        return (1.0 + self.pi.beta * t) ** (-(self.pi.alpha - 1.0))
 
-Spectrum = MarkovianLift | GammaContinuum  # what the stationary moments and control formulas read
+
+Spectrum = MarkovianLift | GammaContinuum  # what every stationary formula but grid_mean_variance reads
 
 M_MAX = 16  # the finest lift level, 65,536 atoms; each level doubles the memory of every lift computation
 

@@ -1,16 +1,17 @@
 """The supCBI discharge process on a Markovian lift.
 
-Stationary moments, cumulants and autocorrelation in closed form, plus an exact
-event-driven Monte Carlo simulator of the lifted system with optional static
-feedback control. The jumps come from one cluster sampler: each component's
-immigrants are drawn in turn, then each later generation of children is
-drawn once for a whole batch of components (all of them unless the path is
-long); with B = 0 only the immigrants are drawn. Independent replicate
-paths are more immigrant streams of the same pass, one lane per component
-and path: `simulate_replicates` draws several paths at once, and `simulate`
-is its one-lane case. Small jumps below a truncation level eps are dropped;
-all closed-form comparisons against simulation use the eps-truncated moments
-so the truncation bias cancels.
+Stationary moments, cumulants and autocorrelation in closed form on a lift
+or the Gamma continuum, plus an exact event-driven Monte Carlo simulator of
+the lifted system with optional static feedback control. The jumps come from
+one cluster sampler: each component's immigrants are drawn in turn, then
+each later generation of children is drawn once for a whole batch of
+components (all of them unless the path is long); with B = 0 only the
+immigrants are drawn. Independent replicate paths are more immigrant streams
+of the same pass, one lane per component and path: `simulate_replicates`
+draws several paths at once, and `simulate` is its one-lane case. Small
+jumps below a truncation level eps are dropped; all closed-form comparisons
+against simulation use the eps-truncated moments so the truncation bias
+cancels.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ __all__ = [
     "stationary_mean",
     "stationary_variance",
     "stationary_cumulants",
-    "acf_gamma",
-    "acf_lift",
+    "acf",
     "grid_mean_variance",
     "simulate",
     "simulate_replicates",
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _MAX_EXPECTED_JUMPS = 2e7  # `simulate` refuses a path expected to draw more jumps
+_MAX_GRID_CELLS = 2**25  # ... or more grid cells (steps x paths), 256 MiB per grid array
 _BATCH_JUMPS = 2**16  # expected jumps of the components `simulate` draws together
 
 
@@ -110,7 +111,7 @@ def stationary_variance(model: SupCbiModel, lift: Spectrum) -> float:
     return 0.5 * model.A * model.M2 / model.D**2 * lift.inv_mean
 
 
-def stationary_cumulants(model: SupCbiModel, lift: MarkovianLift) -> tuple[float, float, float, float]:
+def stationary_cumulants(model: SupCbiModel, lift: Spectrum) -> tuple[float, float, float, float]:
     """Cumulants kappa_1..kappa_4 of the stationary Y_n; baseflow not included.
 
     Each lift component is an affine CBI process, and E[L exp(theta Y_i)] = 0
@@ -118,7 +119,8 @@ def stationary_cumulants(model: SupCbiModel, lift: MarkovianLift) -> tuple[float
     with g(s) = (k(s)/s) / (1 - B k(s)/s) and k(s) = sum_k M_k s^k / k!. With
     a_j = M_(j+1) / (j+1)!, the Taylor coefficients of g are g_0 = M1/D and
     g_j = (a_j + B sum_(l=1..j) a_l g_(j-l)) / D, and
-    kappa_k = A R_n (k-1)! g_(k-1). For B = 0 this is A R_n M_k / k.
+    kappa_k = A R_n (k-1)! g_(k-1). For B = 0 this is A R_n M_k / k. R_n is
+    the spectrum's inv_mean, so on the continuum it is R itself.
     """
     a = [model.nu.truncated_moment(j + 1, model.eps) / math.factorial(j + 1) for j in range(4)]
     g: list[float] = []
@@ -129,19 +131,11 @@ def stationary_cumulants(model: SupCbiModel, lift: MarkovianLift) -> tuple[float
     return k1, k2, k3, k4
 
 
-def acf_gamma(model: SupCbiModel, tau: float) -> float:
-    """Closed-form stationary ACF (1 + D*beta*tau)^(-(alpha-1)) of the Gamma mixture."""
+def acf(model: SupCbiModel, spectrum: Spectrum, tau: float) -> float:
+    """Stationary ACF at lag tau >= 0, the spectrum's laplace at D*tau."""
     if tau < 0.0:
         raise ValueError("lag must be nonnegative")
-    pi = model.pi
-    return (1.0 + model.D * pi.beta * tau) ** (-(pi.alpha - 1.0))
-
-
-def acf_lift(model: SupCbiModel, lift: MarkovianLift, tau: float) -> float:
-    """Lift quadrature of the ACF: normalized sum of (c_i/r_i) exp(-D*tau*r_i)."""
-    if tau < 0.0:
-        raise ValueError("lag must be nonnegative")
-    return float(np.sum(lift.w * np.exp(-model.D * tau * lift.r))) / lift.inv_mean
+    return spectrum.laplace(model.D * tau)
 
 
 def grid_mean_variance(model: SupCbiModel, lift: MarkovianLift, n: int, dt: float) -> float:
@@ -348,7 +342,7 @@ def _simulate(
     nubar = model.nu.tail_mass(eps)
     d_eps = model.truncated(eps).D
     # mean relaxation rate of the slowest component is r_1 * D, not r_1
-    burn = 10.0 / (lift.r[0] * d_eps)
+    burn = 10.0 / float(lift.r[0] * d_eps)
     if controller is not None:
         burn = max(burn, 10.0 / (controller.rho - controller.u))
     total = burn + horizon
@@ -359,8 +353,17 @@ def _simulate(
             "raise eps or shorten the horizon"
         )
 
+    # a Python float, which may lie beyond the int range or be inf (without a numpy warning)
+    grid_steps = total / dt + 1.0
+    if grid_steps * lanes > _MAX_GRID_CELLS:
+        raise ValueError(
+            f"grid of {grid_steps:.3g} steps x {lanes} paths exceeds budget {_MAX_GRID_CELLS} cells; "
+            "raise dt or shorten the horizon"
+        )
     steps = int(math.floor(total / dt)) + 1
     k0 = int(math.ceil(burn / dt))
+    if k0 >= steps:
+        raise ValueError(f"horizon {horizon:.6g} records no sample at spacing dt = {dt:.6g}")
     grid = np.arange(steps) * dt
 
     y_total = np.zeros((steps, lanes))

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,19 @@ class TestLiftCommand:
         assert run(["lift", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
         assert "D must lie in (0, 1]" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("where", ["file", "below-file"])
+    def test_out_that_cannot_be_created_is_config_error(self, tmp_path, capsys, where):
+        # the OSError of creating --out escaped as a traceback with exit 1
+        cfg = write_cfg(tmp_path, "alpha = 2.0\nbeta = 1.0\nm_min = 1\nm_max = 3\n")
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker if where == "file" else blocker / "sub"
+        assert run(["lift", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write reports to") and err.count("\n") == 1
+        assert blocker.read_text() == "kept\n"
 
 
 # Dbeta and no B: D is the only source of the rate scale
@@ -294,6 +308,18 @@ class TestSimulateCommand:
         stats = (tmp_path / "stats.txt").read_text()
         assert "mean_sq_control_rate:" in stats
 
+    @pytest.mark.parametrize(
+        "run_keys, error",
+        [("horizon = 50\ndt = 1e5\n", "records no sample"), ("horizon = 60\ndt = 1e-12\n", "budget")],
+        ids=["dt-above-horizon", "grid-beyond-budget"],
+    )
+    def test_path_that_cannot_be_recorded_is_config_error(self, tmp_path, capsys, run_keys, error):
+        text = self.CFG.replace("horizon = 60\ndt = 1.0\n", run_keys)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == EXIT_CONFIG
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_determinism(self, tmp_path):
         cfg = write_cfg(tmp_path, self.CFG)
         out1 = tmp_path / "o1"
@@ -408,6 +434,17 @@ class TestIdentifyCommand:
         report = (tmp_path / "fit_report.txt").read_text()
         assert "warning: ACF fit degenerate" in report
 
+    def test_lift_level_does_not_move_the_fit(self, tmp_path):
+        # the fit is on the continuum: m is accepted and ignored
+        series_path, _, _ = self._series_file(tmp_path)
+        reports = []
+        for m_line in ("m = 3\n", "m = 8\n", ""):
+            cfg = write_cfg(tmp_path, f"series = {series_path}\nD = 0.5\nmax_lag = 100\nrestarts = 2\n" + m_line)
+            out = tmp_path / f"out{len(reports)}"
+            assert run(["identify", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+            reports.append([(out / name).read_bytes() for name in ("fit_report.txt", "fit_report.csv")])
+        assert reports[0] == reports[1] == reports[2]
+
     def test_non_uniform_rejected(self, tmp_path):
         series_path = tmp_path / "bad.csv"
         series_path.write_text(
@@ -478,6 +515,22 @@ class TestVerifyCommand:
         assert run(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_NUMERICAL
         lines = (tmp_path / "verify.txt").read_text().splitlines()
         assert sum(line.startswith("FAIL BKE residuals") for line in lines) == 3
+
+    def test_overflowing_residuals_fail_without_warnings(self, tmp_path):
+        # at A = 1e305 the residuals overflow to NaN; the FAIL lines report
+        # it, and numpy printed five RuntimeWarnings on stderr besides
+        cfg = write_cfg(
+            tmp_path,
+            "A = 1e305\nB = 0\nc1 = 0.4\nc2 = 1.3\nalpha = 2.1\nbeta = 0.8\n"
+            "horizon = 5\ndt = 0.5\neps = 540\nstates = 5\ndraws = 2\n",
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"])
+        assert code == EXIT_NUMERICAL
+        lines = (tmp_path / "verify.txt").read_text().splitlines()
+        assert sum(line.startswith("FAIL BKE residuals") for line in lines) == 3
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("counts", ["states = 0\ndraws = 4\n", "states = 20\ndraws = 0\n"])
     @pytest.mark.parametrize("perturb", ["", "perturb = a,0,0,1.01\n"])

@@ -880,6 +880,29 @@ class TestContinuum:
             err_fine = abs(evaluate(model, fine, q, h) - value)
             assert err_fine < err_coarse
 
+    @pytest.mark.parametrize("alpha, beta", [(1.5, 1.0), (2.1, 0.8), (4.0, 0.3)])
+    def test_solve_and_sweep_match_the_finest_lift(self, alpha, beta):
+        # at equal q, the m = 13 lift falls short of the continuum by no more
+        # than its own error in R: R_13 / R <= J_13 / J <= 1, hbar agrees to
+        # 1 - R_13 / R, and K is the bound on both
+        model = make_model(alpha=alpha, beta=beta)
+        continuum, lift = GammaContinuum(model.pi), build_lift(model.pi, 13)
+        ratio = lift.inv_mean / continuum.inv_mean
+        grid = np.geomspace(1e-6, 1e4, 11).tolist()
+
+        def problem(spectrum):
+            qhat = 0.6 * stationary_mean(model, spectrum)
+            return ControlProblem(model=model, lift=spectrum, kbar=1.0, qhat=qhat)
+
+        pairs = [(solve(problem(continuum)), solve(problem(lift)))]
+        rows = zip(sweep(problem(continuum), grid), sweep(problem(lift), grid))
+        pairs += [(a.solution, b.solution) for a, b in rows]
+        for cont, fine in pairs:
+            assert cont.active_constraint == fine.active_constraint == "cost"
+            assert ratio <= fine.J / cont.J <= 1.0
+            assert fine.hbar == pytest.approx(cont.hbar, rel=1.0 - ratio)
+            assert fine.K == pytest.approx(cont.K, rel=1e-11)
+
     @pytest.mark.parametrize("kbar", [1e300, 1e306, 1e307, 1e308])
     def test_roots_near_the_float_range_raise_no_warning(self, kbar):
         # K/h tends to 0.038, so the roots for kbar = 1e300 and 1e306 lie near

@@ -10,7 +10,7 @@ from scipy import integrate, stats as sps
 
 from supcbi import process
 from supcbi.control import ControlProblem, solve
-from supcbi.lift import MarkovianLift, build_lift
+from supcbi.lift import GammaContinuum, MarkovianLift, build_lift
 from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
 from supcbi.process import (
     Controller,
@@ -19,8 +19,7 @@ from supcbi.process import (
     _decay_scan,
     _exp_diff,
     SupCbiModel,
-    acf_gamma,
-    acf_lift,
+    acf,
     grid_mean_variance,
     path_stats,
     simulate,
@@ -75,19 +74,28 @@ class TestModel:
 class TestAcf:
     def test_lag_zero_is_one(self):
         model = small_model()
-        assert acf_gamma(model, 0.0) == 1.0
-        assert acf_lift(model, build_lift(model.pi, 6), 0.0) == pytest.approx(1.0)
+        assert acf(model, GammaContinuum(model.pi), 0.0) == 1.0
+        assert acf(model, build_lift(model.pi, 6), 0.0) == pytest.approx(1.0)
 
     def test_lift_quadrature_converges_to_closed_form(self):
         model = small_model(alpha=2.329, beta=3.149e-2 / 0.5, B=0.3)
+        continuum = GammaContinuum(model.pi)
         coarse = build_lift(model.pi, 6)
         fine = build_lift(model.pi, 11)
         for tau in (1.0, 10.0, 50.0, 200.0):
-            exact = acf_gamma(model, tau)
-            err_fine = abs(acf_lift(model, fine, tau) - exact)
+            exact = acf(model, continuum, tau)
+            err_fine = abs(acf(model, fine, tau) - exact)
             assert err_fine < 6e-3
             # dyadic refinement shrinks the quadrature error
-            assert err_fine < abs(acf_lift(model, coarse, tau) - exact)
+            assert err_fine < abs(acf(model, coarse, tau) - exact)
+
+    def test_lift_acf_is_the_weighted_sum(self):
+        model = small_model(B=0.4)
+        lift = build_lift(model.pi, 3)
+        for tau in (0.3, 4.0):
+            weights = lift.c / lift.r
+            expected = np.sum(weights * np.exp(-model.D * tau * lift.r)) / np.sum(weights)
+            assert acf(model, lift, tau) == pytest.approx(expected, rel=1e-14)
 
     def test_closed_form_is_the_measure_integral(self):
         model = small_model(alpha=2.2, beta=0.7, B=0.4)
@@ -99,11 +107,13 @@ class TestAcf:
                 lambda r: pdf(r) / r * math.exp(-d * tau * r), 0.0, np.inf
             )
             den, _ = integrate.quad(lambda r: pdf(r) / r, 0.0, np.inf)
-            assert acf_gamma(model, tau) == pytest.approx(num / den, rel=1e-8)
+            assert acf(model, GammaContinuum(pi), tau) == pytest.approx(num / den, rel=1e-8)
 
     def test_negative_lag_rejected(self):
-        with pytest.raises(ValueError):
-            acf_gamma(small_model(), -1.0)
+        model = small_model()
+        for spectrum in (GammaContinuum(model.pi), build_lift(model.pi, 2)):
+            with pytest.raises(ValueError, match="lag"):
+                acf(model, spectrum, -1.0)
 
 
 class TestCumulants:
@@ -131,6 +141,17 @@ class TestCumulants:
                 model.A * lift.inv_mean * levy_moment(model.nu, k) / k for k in range(1, 5)
             ]
             assert stationary_cumulants(model, lift) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("c2", [0.3, 1.7])
+    def test_exponential_jumps_on_the_continuum_give_the_gamma_law(self, c2):
+        # B = 0 and c1 = -1: nu(dz) = exp(-c2 z) dz, so M_k = k! / c2^(k+1)
+        # and kappa_k = A R M_k / k, the cumulants of Gamma(A R / c2, rate c2)
+        model = small_model(B=0.0, c1=-1.0, c2=c2, A=0.3, alpha=2.3, beta=0.7)
+        continuum = GammaContinuum(model.pi)
+        law = sps.gamma(model.A * continuum.inv_mean / c2, scale=1.0 / c2)
+        mean, var, skew, excess = (float(v) for v in law.stats("mvsk"))
+        expected = [mean, var, skew * var**1.5, excess * var**2]
+        assert stationary_cumulants(model, continuum) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("c1, c2", [(-0.6, 1.3), (0.5, 1.0)])
     def test_self_exciting_against_mpmath_cgf(self, c1, c2):
@@ -235,6 +256,13 @@ class TestDecayScan:
         assert x.tolist() == [3.0, 1.0, 2.0]
         # np.bincount of a component without jumps is an int array
         assert _decay_scan(np.array([3, 1, 2]), 0.5).tolist() == [0.0, 1.0, 2.5]
+
+
+def _draw(model, lift, count, **run):
+    """`simulate` when count is None, else `simulate_replicates` with count lanes."""
+    if count is None:
+        return [simulate(model, lift, eps=1e-2, seed=0, **run)]
+    return simulate_replicates(model, lift, eps=1e-2, seed=0, count=count, **run)
 
 
 class TestSimulate:
@@ -445,6 +473,26 @@ class TestSimulate:
         lift = build_lift(model.pi, 1)
         with pytest.raises(ValueError, match="budget"):
             simulate(model, lift, horizon=1e4, dt=1.0, eps=1e-12, seed=0)
+
+    @pytest.mark.parametrize("count", [None, 3], ids=["simulate", "simulate_replicates"])
+    @pytest.mark.parametrize("horizon, dt", [(50.0, 1e5), (1e-12, 0.5)])
+    def test_path_with_no_sample_refused(self, count, horizon, dt):
+        # the burn-in covers every grid time up to the horizon: grid[k0] raised IndexError
+        model = small_model()
+        lift = build_lift(model.pi, 1)
+        with pytest.raises(ValueError, match="records no sample"):
+            _draw(model, lift, count, horizon=horizon, dt=dt)
+
+    @pytest.mark.parametrize("count", [None, 3], ids=["simulate", "simulate_replicates"])
+    @pytest.mark.parametrize("dt", [1e-12, 1e-320])
+    def test_grid_budget_guard(self, count, dt):
+        # 7e13 steps or more: a grid beyond the address space, refused before
+        # any allocation. It raised MemoryError, and OverflowError at
+        # dt = 1e-320, where total / dt is inf
+        model = small_model()
+        lift = build_lift(model.pi, 1)
+        with pytest.raises(ValueError, match="budget .* cells"):
+            _draw(model, lift, count, horizon=60.0, dt=dt)
 
     def test_argument_validation(self):
         model = small_model()
