@@ -362,6 +362,13 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> Result:
     if n_states < 1 or n_draws < 1:
         raise ConfigError(f"states and draws must be at least 1, got {n_states} and {n_draws}")
     perturb = _parse_perturb(config["perturb"]) if "perturb" in config else None
+    # check 3's paths are drawn first, so a refused path stops verify before any check runs
+    eps = _get_float(config, "eps", 1e-3)
+    horizon = _get_float(config, "horizon", 200.0)
+    dt = _get_float(config, "dt", 0.5)
+    mc_lift = build_lift(model.pi, _override(args.m, config, "m", 2))
+    reps = 8
+    paths = simulate_replicates(model, mc_lift, horizon=horizon, dt=dt, eps=eps, seed=seed, count=reps)
     rng = np.random.default_rng(seed)
     lines: list[str] = []
     ok = True
@@ -399,16 +406,10 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> Result:
         )
 
     # 3. Monte Carlo vs closed form, at the exact standard error of the replicate mean
-    eps = _get_float(config, "eps", 1e-3)
-    horizon = _get_float(config, "horizon", 200.0)
-    dt = _get_float(config, "dt", 0.5)
-    lift = build_lift(model.pi, _override(args.m, config, "m", 2))
     trunc = model.truncated(eps)
-    reps = 8
-    paths = simulate_replicates(model, lift, horizon=horizon, dt=dt, eps=eps, seed=seed, count=reps)
     mc_mean = float(np.mean([np.mean(path.y_total) for path in paths]))
-    se = math.sqrt(grid_mean_variance(trunc, lift, paths[0].y_total.size, dt) / reps)
-    cf_mean = stationary_mean(trunc, lift)
+    se = math.sqrt(grid_mean_variance(trunc, mc_lift, paths[0].y_total.size, dt) / reps)
+    cf_mean = stationary_mean(trunc, mc_lift)
     mc_ok = abs(mc_mean - cf_mean) <= 3.0 * se
     ok &= mc_ok
     lines.append(

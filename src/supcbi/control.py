@@ -362,6 +362,7 @@ def _ansatz(
     return QuadraticAnsatz(a=a, b=b, constant=constant)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def variance_bke_coefficients(
     model: SupCbiModel, lift: MarkovianLift, q: float, h: float, xhat: float
 ) -> QuadraticAnsatz:
@@ -380,6 +381,7 @@ def variance_bke_coefficients(
     return _ansatz(model, lift, q, h, (q - p * D) / (p * D + 1.0) / h, block, -2.0 * xhat, j_val)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cost_bke_coefficients(
     model: SupCbiModel, lift: MarkovianLift, q: float, h: float
 ) -> QuadraticAnsatz:

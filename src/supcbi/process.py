@@ -191,25 +191,25 @@ def _component_events(
     horizon: float,
     rng: np.random.Generator,
     lanes: int,
-) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
-    """Jump times and sizes on [0, horizon] of `lanes` paths of the components c, r.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Jump times, sizes and paths on [0, horizon] of `lanes` paths of the components c, r.
 
     Cluster (branching) representation of the self-exciting intensity
     (c_i A + r_i B Y_i) nubar (Hawkes and Oakes 1974): component i's
     immigrants form a Poisson stream at rate c_i A nubar, and each jump of
     size z has Poisson(B z nubar) children at Exp(r_i) delays. Independent
-    paths are just more immigrant streams: component i of path k is lane
+    paths are just more immigrant streams: component i of path k is stream
     i * lanes + k. Each component's immigrants are drawn for all its lanes
     at once (counts, uniform times sorted within each lane, sizes). Each
-    later generation is drawn once for all the lanes: np.repeat carries
-    every parent's lane to its children, so a generation stays grouped by
-    lane and one searchsorted splits it per lane. Children past the horizon
-    are dropped with their descendants, which would come later still. The
-    mean number of children per jump is B M1(eps) = 1 - D_eps < 1, so the
-    generations die out; with B = 0 none is drawn. Returns one
-    (times, sizes, counts) triple per component, in order, with its jumps
-    grouped by path: counts[k] jumps of path k, its immigrants in time
-    order and then its children generation by generation.
+    later generation is drawn once for all the streams: np.repeat carries
+    every parent's stream to its children, so a generation stays sorted by
+    stream and one searchsorted splits it per component. Children past the
+    horizon are dropped with their descendants, which would come later
+    still. The mean number of children per jump is B M1(eps) = 1 - D_eps < 1,
+    so the generations die out; with B = 0 none is drawn. Returns one
+    (times, sizes, paths) triple per component, in order: paths[j] is the
+    path of jump j, and each path's jumps come in the order drawn, its
+    immigrants in time order and then its children generation by generation.
     """
     immigrants = []
     for c_i in c:
@@ -218,33 +218,32 @@ def _component_events(
         times = rng.uniform(0.0, horizon, size=ends[-1])
         for lo, hi in zip(ends, ends[1:]):
             times[lo:hi].sort()
-        immigrants.append((times, model.nu.sample_truncated(eps, times.size, rng), counts))
+        sizes = model.nu.sample_truncated(eps, times.size, rng)
+        immigrants.append((times, sizes, np.repeat(np.arange(lanes), counts)))
     if model.B == 0.0:
         return immigrants
-    times, sizes, per_component = zip(*immigrants)
+    firsts = np.arange(c.size) * lanes  # the stream of each component's path 0
+    times, sizes, paths = zip(*immigrants)
     times, sizes = np.concatenate(times), np.concatenate(sizes)
-    counts = [k for own in per_component for k in own]
-    ends = [0, *accumulate(counts)]
-    generations = [[(times[a:b], sizes[a:b]) for a, b in zip(ends, ends[1:])]]
-    lane = np.repeat(np.arange(len(counts)), counts)
+    stream = np.concatenate([own + first for own, first in zip(paths, firsts)])
+    generations = [(times, sizes, stream)]
     rate = np.repeat(r, lanes)
-    later_lanes = np.arange(1, len(counts))
     while times.size:
         kids = rng.poisson(model.B * nubar * sizes)
-        lane = np.repeat(lane, kids)
-        times = np.repeat(times, kids) + rng.exponential(size=lane.size) / rate[lane]
+        stream = np.repeat(stream, kids)
+        times = np.repeat(times, kids) + rng.exponential(size=stream.size) / rate[stream]
         keep = times <= horizon
-        lane, times = lane[keep], times[keep]
+        stream, times = stream[keep], times[keep]
         sizes = model.nu.sample_truncated(eps, times.size, rng)
-        ends = [0, *np.searchsorted(lane, later_lanes).tolist(), lane.size]
-        generations.append([(times[a:b], sizes[a:b]) for a, b in zip(ends, ends[1:])])
-    # per lane, its slice of every generation, in generation order
-    per_lane = list(zip(*generations))
+        generations.append((times, sizes, stream))
+    # a generation is sorted by stream, so one searchsorted splits it per component
+    cuts = [[0, *np.searchsorted(g[2], firsts[1:]).tolist(), g[2].size] for g in generations]
     events = []
-    for i in range(c.size):
-        own = per_lane[i * lanes : (i + 1) * lanes]
-        times, sizes = map(np.concatenate, zip(*(pair for slices in own for pair in slices)))
-        events.append((times, sizes, [sum(t.size for t, _ in slices) for slices in own]))
+    for i, first in enumerate(firsts):
+        own = [[a[cut[i] : cut[i + 1]] for a in g] for g, cut in zip(generations, cuts)]
+        times, sizes, paths = map(np.concatenate, zip(*own))
+        paths -= first  # in place: concatenate made a copy
+        events.append((times, sizes, paths))
     return events
 
 
@@ -256,15 +255,14 @@ def _decay_scan(x: np.ndarray, decay: float) -> np.ndarray:
     shifted by s, then squares the factor (Kogge and Stone 1973). That is
     about log2(len(x)) numpy passes. The factor only shrinks, so nothing
     overflows, and the scan stops early once it underflows to 0. A row of
-    a 2-D x is one step of several recursions, one per column; the rounds
-    shift the flat array by whole rows, so they cost what 1-D rounds do.
+    a 2-D x is one step of several recursions, one per column, and each
+    round shifts whole rows.
     """
     y = x.astype(float)  # a copy; bincount of no jumps gives an int array
     y[:1] = 0.0
-    flat = y.reshape(-1)  # a view of the contiguous copy
-    s, f = flat.size // len(y), decay
-    while s < flat.size and f != 0.0:
-        flat[s:] += f * flat[:-s]
+    s, f = 1, decay
+    while s < len(y) and f != 0.0:
+        y[s:] += f * y[:-s]
         s, f = 2 * s, f * f
     return y
 
@@ -379,7 +377,7 @@ def _simulate(
     starts = [*np.flatnonzero(np.diff(batch, prepend=-1.0)).tolist(), lift.n]
     for a, b in zip(starts, starts[1:]):
         events = _component_events(model, lift.c[a:b], lift.r[a:b], nubar, eps, grid[-1], rng, lanes)
-        for r_i, (times, sizes, counts) in zip(lift.r[a:b], events):
+        for r_i, (times, sizes, paths) in zip(lift.r[a:b], events):
             cells = np.minimum((np.floor(times / dt)).astype(int) + 1, steps - 1)
             # contribution of each jump to the component value at the end of its step
             w = sizes * np.exp(-r_i * (cells * dt - times))
@@ -388,9 +386,7 @@ def _simulate(
                 g = sizes * _exp_diff(r_i, h, cells * dt - times)
             # one bincount cell per (step, path), in the row-major order of a grid array
             cells *= lanes
-            ends = list(accumulate(counts))
-            for k, (lo, hi) in enumerate(zip(ends, ends[1:]), start=1):
-                cells[lo:hi] += k
+            cells += paths
             yi = _decay_scan(np.bincount(cells, weights=w, minlength=steps * lanes).reshape(steps, lanes),
                              math.exp(-r_i * dt))
             y_total += yi

@@ -516,14 +516,20 @@ class TestVerifyCommand:
         lines = (tmp_path / "verify.txt").read_text().splitlines()
         assert sum(line.startswith("FAIL BKE residuals") for line in lines) == 3
 
-    def test_overflowing_residuals_fail_without_warnings(self, tmp_path):
-        # at A = 1e305 the residuals overflow to NaN; the FAIL lines report
-        # it, and numpy printed five RuntimeWarnings on stderr besides
-        cfg = write_cfg(
-            tmp_path,
+    @pytest.mark.parametrize(
+        "text",
+        [
             "A = 1e305\nB = 0\nc1 = 0.4\nc2 = 1.3\nalpha = 2.1\nbeta = 0.8\n"
             "horizon = 5\ndt = 0.5\neps = 540\nstates = 5\ndraws = 2\n",
-        )
+            "A = 0.5\nB = 0.3\nc1 = 0.4\nc2 = 1.3\nalpha = 2.1\nbeta = 1e300\nhorizon = 100\n",
+        ],
+        ids=["huge-A", "huge-beta"],
+    )
+    def test_overflowing_residuals_fail_without_warnings(self, tmp_path, text):
+        # at A = 1e305, or beta = 1e300, the residuals overflow to NaN; the
+        # FAIL lines report it, and numpy printed RuntimeWarnings besides
+        # (five at huge A, three from the coefficient blocks at huge beta)
+        cfg = write_cfg(tmp_path, text)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = run(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"])
@@ -531,6 +537,32 @@ class TestVerifyCommand:
         lines = (tmp_path / "verify.txt").read_text().splitlines()
         assert sum(line.startswith("FAIL BKE residuals") for line in lines) == 3
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "A = 0.5\nB = 0.3\nc1 = 0.4\nc2 = 1.3\nalpha = 2.1\nbeta = 1e300\nhorizon = -1\n",
+            "A = 0.5\nB = 0.3\nc1 = 0.4\nc2 = 1.3\nalpha = 2.1\nbeta = 0.8\nhorizon = 200\ndt = 500\n",
+        ],
+        ids=["negative-horizon", "dt-above-horizon"],
+    )
+    def test_refused_path_stops_verify_before_any_check(self, tmp_path, capsys, monkeypatch, text):
+        # check 3's paths are drawn first: a refused one exits 2 before check 1
+        # builds the m = 9 and m = 10 lifts, and before check 2's coefficient
+        # blocks overflow at beta = 1e300 with three RuntimeWarnings
+        def no_check_1(*args, **kwargs):
+            raise AssertionError("check 1 ran before the Monte Carlo paths were drawn")
+
+        monkeypatch.setattr("supcbi.cli.convergence_report", no_check_1)
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["verify", "--config", cfg, "--out", str(out), "--quiet"])
+        assert code == EXIT_CONFIG
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("counts", ["states = 0\ndraws = 4\n", "states = 20\ndraws = 0\n"])
     @pytest.mark.parametrize("perturb", ["", "perturb = a,0,0,1.01\n"])

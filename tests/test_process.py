@@ -368,8 +368,8 @@ class TestSimulate:
         for rep in range(counts.shape[0]):
             events = _component_events(model, lift.c, lift.r, nubar, eps, horizon, rng, 1)
             assert len(events) == lift.n
-            for i, (times, sizes, path_counts) in enumerate(events):
-                assert times.size == sizes.size and path_counts == [times.size]
+            for i, (times, sizes, paths) in enumerate(events):
+                assert times.size == sizes.size and paths.tolist() == [0] * times.size
                 assert np.all((times >= 0.0) & (times <= horizon))
                 assert np.all(sizes >= eps)
                 counts[rep, i] = times.size
@@ -390,13 +390,13 @@ class TestSimulate:
             events = _component_events(model, lift.c, lift.r, nubar, eps, horizon, rng, 1)
             ref = np.random.default_rng(seed)
             assert len(events) == lift.n
-            for c_i, (times, sizes, path_counts) in zip(lift.c, events):
+            for c_i, (times, sizes, paths) in zip(lift.c, events):
                 n_jumps = ref.poisson(c_i * model.A * nubar * horizon)
                 ref_times = np.sort(ref.uniform(0.0, horizon, size=n_jumps))
                 ref_sizes = model.nu.sample_truncated(eps, n_jumps, ref)
                 assert times.tobytes() == ref_times.tobytes()
                 assert sizes.tobytes() == ref_sizes.tobytes()
-                assert path_counts == [n_jumps]
+                assert paths.tolist() == [0] * n_jumps
             assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("controlled", [False, True])
@@ -540,15 +540,41 @@ class TestSimulateReplicates:
         nubar = model.nu.tail_mass(eps)
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         events = _component_events(model, lift.c, lift.r, nubar, eps, horizon, rng, lanes)
-        for c_i, (times, sizes, path_counts) in zip(lift.c, events):
+        for c_i, (times, sizes, paths) in zip(lift.c, events):
             counts = ref.poisson(c_i * model.A * nubar * horizon, size=lanes)
             draws = ref.uniform(0.0, horizon, size=counts.sum())
             bounds = np.cumsum(counts)[:-1]
             ref_times = np.concatenate([np.sort(part) for part in np.split(draws, bounds)])
-            assert path_counts == counts.tolist()
+            assert paths.tolist() == np.repeat(np.arange(lanes), counts).tolist()
             assert times.tobytes() == ref_times.tobytes()
             assert sizes.tobytes() == model.nu.sample_truncated(eps, counts.sum(), ref).tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_multi_lane_self_exciting_case_tags_each_jump_with_its_path(self):
+        # with B > 0 each component still draws its lanes' immigrants first,
+        # as with B = 0; each path's jumps then begin with exactly its own
+        # immigrants, in time order, and its children follow
+        model = small_model(B=0.4, A=0.5)
+        lift = MarkovianLift(r=np.array([0.2, 0.7, 3.0]), c=np.array([0.5, 0.3, 0.2]))
+        eps, horizon, lanes = 1e-2, 50.0, 4
+        nubar = model.nu.tail_mass(eps)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        events = _component_events(model, lift.c, lift.r, nubar, eps, horizon, rng, lanes)
+        assert len(events) == lift.n
+        children = 0
+        for c_i, (times, sizes, paths) in zip(lift.c, events):
+            assert times.size == sizes.size == paths.size
+            assert np.all((paths >= 0) & (paths < lanes))
+            assert np.all((times >= 0.0) & (times <= horizon))
+            counts = ref.poisson(c_i * model.A * nubar * horizon, size=lanes)
+            draws = ref.uniform(0.0, horizon, size=counts.sum())
+            bounds = np.cumsum(counts)[:-1]
+            own = zip(np.split(draws, bounds), np.split(model.nu.sample_truncated(eps, counts.sum(), ref), bounds))
+            for k, (own_times, own_sizes) in enumerate(own):
+                assert times[paths == k][: own_times.size].tobytes() == np.sort(own_times).tobytes()
+                assert sizes[paths == k][: own_sizes.size].tobytes() == own_sizes.tobytes()
+            children += times.size - counts.sum()
+        assert children > 0
 
     @pytest.mark.parametrize("batch_jumps", [process._BATCH_JUMPS, 1e-9], ids=["one-batch", "batch-per-component"])
     def test_lane_moments_and_spread_of_lane_means(self, batch_jumps, monkeypatch):

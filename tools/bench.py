@@ -9,7 +9,10 @@ Recording runs perfbench/run.py on each workload (design, simulate,
 calibrate) at seed SEED for SECONDS, once untraced (--trace 0, the
 end-to-end metrics) and once traced (--trace 1, the per-layer metrics), one
 after another in child processes. It then times `supcbi simulate` on long
-B > 0 paths, which no perfbench workload reaches, and the tier-1 suite. It
+B > 0 paths, which no perfbench workload reaches: cold, the least of
+LONG_PATH_RUNS child processes, which is mostly interpreter start-up and
+imports; and in-process, the median of LONG_PATH_RUNS `cli.main` calls in
+one child after one untimed call. Last it times the tier-1 suite. It
 writes their results together with the git revision, the sha256 of
 `git diff --full-index` of src, tests and perfbench against that revision
 (null when the tree matches it), so a record of an uncommitted tree still
@@ -25,6 +28,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -44,6 +48,19 @@ LONG_PATH_CONFIG = (
 )
 LONG_PATH_HORIZONS = (10_000, 100_000)
 LONG_PATH_RUNS = 3
+# run in one child: an untimed `cli.main` call, then the timed ones; prints their wall times
+IN_PROCESS = """
+import json, sys, time
+from supcbi.cli import main
+runs, argv = int(sys.argv[1]), sys.argv[2:]
+walls = []
+for _ in range(runs + 1):
+    start = time.perf_counter()
+    if main(argv) != 0:
+        sys.exit(f"simulate exited nonzero: {argv}")
+    walls.append(time.perf_counter() - start)
+print(json.dumps(walls[1:]))
+"""
 
 
 def _run(argv: list[str], env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
@@ -69,16 +86,17 @@ def _perfbench(workload: str, trace: int) -> dict:
 
 
 def _long_path(horizon: int) -> dict:
-    """Least wall time and greatest peak RSS of LONG_PATH_RUNS `supcbi simulate` children."""
+    """Least cold wall time and greatest peak RSS of LONG_PATH_RUNS `supcbi simulate` children,
+    and the median wall time of LONG_PATH_RUNS in-process calls."""
     walls, peaks = [], []
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "long.cfg"
         config.write_text(LONG_PATH_CONFIG + f"horizon = {horizon}\n")
-        argv = [sys.executable, "-m", "supcbi.cli", "simulate", "--config", str(config),
-                "--out", tmp, "--quiet"]
+        command = ["simulate", "--config", str(config), "--out", tmp, "--quiet"]
         for _ in range(LONG_PATH_RUNS):
             start = time.perf_counter()
-            child = subprocess.Popen(argv, cwd=ROOT, env=_src_env(), stderr=subprocess.PIPE)
+            child = subprocess.Popen([sys.executable, "-m", "supcbi.cli", *command], cwd=ROOT,
+                                     env=_src_env(), stderr=subprocess.PIPE)
             # wait4 gives this child's own resource usage, ru_maxrss in KiB
             _, status, usage = os.wait4(child.pid, 0)
             walls.append(time.perf_counter() - start)
@@ -88,7 +106,13 @@ def _long_path(horizon: int) -> dict:
                                  f"{child.stderr.read().decode()}")
             child.stderr.close()
             peaks.append(usage.ru_maxrss / 1024.0)
-    return {"wall_s": round(min(walls), 3), "peak_rss_mb": round(max(peaks), 1)}
+        done = _run([sys.executable, "-c", IN_PROCESS, str(LONG_PATH_RUNS), *command], _src_env())
+        if done.returncode != 0:
+            raise SystemExit(f"in-process simulate at horizon {horizon} exited {done.returncode}:\n"
+                             f"{done.stderr}")
+        in_process = statistics.median(json.loads(done.stdout))
+    return {"wall_s": round(min(walls), 3), "in_process_s": round(in_process, 4),
+            "peak_rss_mb": round(max(peaks), 1)}
 
 
 def _tier1() -> dict:
