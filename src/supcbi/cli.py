@@ -56,6 +56,11 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
+# verify's BKE check certifies a chunk of draws per call, at most this many
+# state rows (draws x states) unless one draw has more; peak memory then does
+# not grow with draws x states
+_BKE_ROWS = 2**14
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
@@ -384,18 +389,22 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> Result:
         f" vs (alpha-1)/alpha = {rate_ref:.3f}"
     )
 
-    # 2. BKE residuals for small lifts
+    # 2. BKE residuals for small lifts, a chunk of draws per batched call
     tol = 1e-8
+    chunk = max(1, _BKE_ROWS // n_states)
     for m in (0, 1, 2):
         lift = build_lift(model.pi, m)
         n = lift.n
         residuals = np.empty((n_draws, 2))
-        for draw in range(n_draws):
-            q = float(rng.uniform(0.2, 2.0))
-            h = float(rng.uniform(0.05, 3.0))
-            states = rng.uniform(0.0, 5.0, size=(n_states, n + 1))
-            residuals[draw] = (bke_residual_J(model, lift, q, h, states, perturb=perturb),
-                               bke_residual_K(model, lift, q, h, states, perturb=perturb))
+        for start in range(0, n_draws, chunk):
+            k = min(chunk, n_draws - start)
+            q, h, states = np.empty(k), np.empty(k), np.empty((k, n_states, n + 1))
+            for draw in range(k):
+                q[draw] = rng.uniform(0.2, 2.0)
+                h[draw] = rng.uniform(0.05, 3.0)
+                states[draw] = rng.uniform(0.0, 5.0, size=(n_states, n + 1))
+            residuals[start:start + k, 0] = bke_residual_J(model, lift, q, h, states, perturb=perturb)
+            residuals[start:start + k, 1] = bke_residual_K(model, lift, q, h, states, perturb=perturb)
         # np.max, unlike max(), lets a NaN residual through to FAIL
         worst_j, worst_k = residuals.max(axis=0)
         res_ok = worst_j <= tol and worst_k <= tol

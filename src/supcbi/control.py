@@ -4,7 +4,8 @@ The tracking variance J, quadratic control cost K and flow-modification
 variance P at q = rho/(rho-u) and h = rho - u, one line each over the resolvent
 (S, T) of a lift or a `GammaContinuum`; the constrained minimizer (Balanced /
 Water Adding / Water Abstracting cases, with an optional variability bound);
-and residual certification of the quadratic BKE solutions the formulas rest on.
+and residual certification of the quadratic BKE solutions the formulas rest on,
+at one (q, h) draw or at a stack of draws in one evaluation.
 
 Each solution is a quadratic ansatz y'ay/2 + b'y plus a constant. The residual
 certifies its closed-form a and constant (J, or K/h^2); b is solved from the
@@ -328,69 +329,107 @@ def write_sweep_csv(rows: Sequence[SweepRow]) -> str:
 
 @dataclass
 class QuadraticAnsatz:
-    """Phi(y) = 0.5 y' a y + b' y with y = (x, y_1..y_n), plus the ergodic constant."""
+    """Phi(y) = 0.5 y' a y + b' y with y = (x, y_1..y_n), plus the ergodic constant.
+
+    A stack of k draws' ansatzes carries the draw axis in front: a (k, n+1,
+    n+1), b (k, n+1) and the constants (k,).
+    """
 
     a: np.ndarray  # (n+1, n+1), symmetric
     b: np.ndarray  # (n+1,)
-    constant: float  # J for the variance equation, L for the cost equation
+    constant: float | np.ndarray  # J for the variance equation, L for the cost equation
+
+
+def _draws(v, ndim: int):
+    """v against `ndim` trailing axes: a scalar as it is, an array of k draws as (k, 1, ..., 1)."""
+    return v.reshape(v.shape + (1,) * ndim) if isinstance(v, np.ndarray) else v
+
+
+def _per_draw(f: Callable[..., float], *args):
+    """f at scalar arguments; at arrays of k draws, f at each draw's scalars, as a (k,) array.
+
+    A constant of the ansatz is computed this way, not as one array
+    expression: Python's x ** 2 and numpy's square of an array round
+    differently in about 1 case in 1000, and a draw's constant must equal
+    the one its scalar call gives.
+    """
+    if not isinstance(args[0], np.ndarray):
+        return f(*args)
+    return np.array([f(*draw) for draw in zip(*(np.asarray(v).tolist() for v in args))])
 
 
 def _ansatz(
-    model: SupCbiModel, lift: MarkovianLift, q: float, h: float,
-    a0: np.ndarray, block: np.ndarray, lin_x: float, constant: float,
+    model: SupCbiModel, lift: MarkovianLift, q, h,
+    a0: np.ndarray, block: np.ndarray, lin_x, constant,
 ) -> QuadraticAnsatz:
     """The quadratic ansatz with a_00 = 1/h, a_0i = a0 and a_ij = block.
 
     Given a, the BKE's x- and y_k-linear terms are linear in b and fix it:
     h b_0 = lin_x + A M1 sum_i c_i (a_00 + a_0i) and r_k D (b_0 + b_k) =
     rho b_0 + A M1 sum_i c_i (a_0k + a_ik) + B M2 r_k (a_00 + 2 a_0k + a_kk) / 2,
-    with lin_x the x-coefficient of the running cost.
+    with lin_x the x-coefficient of the running cost. q, h and lin_x are
+    scalars or (k,) draws, a0 and block carry the same leading axis.
     """
     n = lift.n
-    a = np.empty((n + 1, n + 1))
-    a[0, 0] = 1.0 / h
-    a[0, 1:] = a0
-    a[1:, 0] = a0
-    a[1:, 1:] = block
+    stack = h.shape if isinstance(h, np.ndarray) else ()  # the draw axis, if any
+    a = np.empty(stack + (n + 1, n + 1))
+    a[..., 0, 0] = 1.0 / h
+    a[..., 0, 1:] = a0
+    a[..., 1:, 0] = a0
+    a[..., 1:, 1:] = block
     am1 = model.A * model.M1
-    jump_lin = np.sum(lift.c) * a[0] + lift.c @ a[1:]  # sum_i c_i (a_0j + a_ij), j = 0..n
-    b = np.empty(n + 1)
-    b[0] = (lin_x + am1 * jump_lin[0]) / h
-    diag = a[0, 0] + 2.0 * a0 + np.diagonal(block)
-    rhs = q * h * b[0] + am1 * jump_lin[1:] + 0.5 * model.B * model.M2 * lift.r * diag
-    b[1:] = rhs / (lift.r * model.D) - b[0]
+    jump_lin = lift.c.sum() * a[..., 0, :] + lift.c @ a[..., 1:, :]  # sum_i c_i (a_0j + a_ij), j = 0..n
+    b = np.empty(stack + (n + 1,))
+    b[..., 0] = (lin_x + am1 * jump_lin[..., 0]) / h
+    diag = a[..., 0, :1] + 2.0 * a0 + block.diagonal(axis1=-2, axis2=-1)
+    rhs = _draws(q * h, 1) * b[..., :1] + am1 * jump_lin[..., 1:] + 0.5 * model.B * model.M2 * lift.r * diag
+    b[..., 1:] = rhs / (lift.r * model.D) - b[..., :1]
     return QuadraticAnsatz(a=a, b=b, constant=constant)
+
+
+def _check_h(h) -> None:
+    if (h <= 0.0).any() if isinstance(h, np.ndarray) else h <= 0.0:
+        raise ValueError("coefficients require h > 0")
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def variance_bke_coefficients(
-    model: SupCbiModel, lift: MarkovianLift, q: float, h: float, xhat: float
+    model: SupCbiModel, lift: MarkovianLift, q, h, xhat
 ) -> QuadraticAnsatz:
-    """Coefficients solving the tracking-variance BKE, with the constant J."""
-    if h <= 0.0:
-        raise ValueError("coefficients require h > 0")
+    """Coefficients solving the tracking-variance BKE, with the constant J.
+
+    q, h and xhat are scalars, or (k,) arrays of draws for a stack of k ansatzes.
+    """
+    _check_h(h)
     D = model.D
-    p = lift.r / h
-    pi_, pj_ = p[:, None], p[None, :]
+    q1, h1 = _draws(q, 1), _draws(h, 1)
+    q2, h2 = _draws(q, 2), _draws(h, 2)
+    p = lift.r / h1
+    pi_, pj_ = p[..., :, None], p[..., None, :]
     block = (
-        (q - pi_ * D) * (q - pj_ * D) / ((pi_ + pj_) * D)
+        (q2 - pi_ * D) * (q2 - pj_ * D) / ((pi_ + pj_) * D)
         * (1.0 / (pj_ * D + 1.0) + 1.0 / (pi_ * D + 1.0))
-        / h
+        / h2
     )
-    j_val = (xhat - q * stationary_mean(model, lift)) ** 2 + eval_J(model, lift, q, h)
-    return _ansatz(model, lift, q, h, (q - p * D) / (p * D + 1.0) / h, block, -2.0 * xhat, j_val)
+    mean = stationary_mean(model, lift)
+    j_val = _per_draw(lambda q, h, xhat: (xhat - q * mean) ** 2 + eval_J(model, lift, q, h), q, h, xhat)
+    return _ansatz(model, lift, q, h, (q1 - p * D) / (p * D + 1.0) / h1, block, -2.0 * xhat, j_val)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def cost_bke_coefficients(
-    model: SupCbiModel, lift: MarkovianLift, q: float, h: float
+    model: SupCbiModel, lift: MarkovianLift, q, h
 ) -> QuadraticAnsatz:
-    """Coefficients solving the control-cost BKE, with the constant L = K / h^2."""
-    if h <= 0.0:
-        raise ValueError("coefficients require h > 0")
+    """Coefficients solving the control-cost BKE, with the constant L = K / h^2.
+
+    q and h are scalars, or (k,) arrays of draws for a stack of k ansatzes.
+    """
+    _check_h(h)
     D = model.D
-    p = lift.r / h
-    pi_, pj_ = p[:, None], p[None, :]
+    q1, h1 = _draws(q, 1), _draws(h, 1)
+    q2, h2 = _draws(q, 2), _draws(h, 2)
+    p = lift.r / h1
+    pi_, pj_ = p[..., :, None], p[..., None, :]
     pdi = pi_ * D + 1.0
     pdj = pj_ * D + 1.0
     # Each half of 2q^2 - (q - p_i D)(q + p_j D)/(p_j D + 1) - (i <-> j) is
@@ -398,18 +437,19 @@ def cost_bke_coefficients(
     # cancel in closed form, not in floating point, so a stays accurate as
     # p D -> 0 and q -> 1.
     block = (
-        (q * pj_ * (q - 1.0) + pi_ * (q + pj_ * D)) / pdj
-        + (q * pi_ * (q - 1.0) + pj_ * (q + pi_ * D)) / pdi
-    ) / ((pi_ + pj_) * h)
-    l_val = eval_K(model, lift, q, h) / h**2
-    return _ansatz(model, lift, q, h, -(q + p * D) / (p * D + 1.0) / h, block, 0.0, l_val)
+        (q2 * pj_ * (q2 - 1.0) + pi_ * (q2 + pj_ * D)) / pdj
+        + (q2 * pi_ * (q2 - 1.0) + pj_ * (q2 + pi_ * D)) / pdi
+    ) / ((pi_ + pj_) * h2)
+    l_val = _per_draw(lambda q, h: eval_K(model, lift, q, h) / h**2, q, h)
+    return _ansatz(model, lift, q, h, -(q1 + p * D) / (p * D + 1.0) / h1, block, 0.0, l_val)
 
 
 def _apply_perturbation(ansatz: QuadraticAnsatz, perturb) -> QuadraticAnsatz:
+    """The ansatz with one coefficient scaled by a finite factor, in every draw of a stack."""
     if perturb is None:
         return ansatz
     kind, i, j, factor = perturb
-    n = ansatz.b.size - 1
+    n = ansatz.b.shape[-1] - 1
     if kind not in ("a", "b", "const"):
         raise ValueError(f"perturbation kind must be a, b or const, got {kind!r}")
     if not (0 <= i <= n and 0 <= j <= n):
@@ -420,12 +460,12 @@ def _apply_perturbation(ansatz: QuadraticAnsatz, perturb) -> QuadraticAnsatz:
     b = ansatz.b.copy()
     const = ansatz.constant
     if kind == "a":
-        a[i, j] *= factor
-        a[j, i] = a[i, j]
+        a[..., i, j] *= factor
+        a[..., j, i] = a[..., i, j]
     elif kind == "b":
-        b[i] *= factor
+        b[..., i] *= factor
     else:
-        const *= factor
+        const = const * factor
     return QuadraticAnsatz(a=a, b=b, constant=const)
 
 
@@ -433,55 +473,66 @@ def _apply_perturbation(ansatz: QuadraticAnsatz, perturb) -> QuadraticAnsatz:
 def _bke_residual(
     model: SupCbiModel,
     lift: MarkovianLift,
-    q: float,
-    h: float,
+    q,
+    h,
     ansatz: QuadraticAnsatz,
     states: np.ndarray,
-    x0: float,
-    kappa: float,
-) -> float:
-    """Max relative residual of the stationary BKE over the sample states.
+    x0,
+    kappa,
+):
+    """Max relative residual of the stationary BKE over the sample states, per draw.
 
     The states, one (x, y_1..y_n) per row or a single 1-D state, are evaluated
-    as one batch. The running cost is (x - x0 - kappa sum_k y_k)^2. The jump
+    as one batch. A leading draw axis evaluates k draws at once: q, h, x0,
+    kappa and the ansatz's constant are then (k,) arrays, its a and b carry
+    the draw axis in front, and states is (k, S, n+1). Each draw's residual
+    is the one its scalar call gives, bit for bit: the draw axis only loops
+    the same operations, matrix products included, each on the same (S, n+1)
+    block. The running cost is (x - x0 - kappa sum_k y_k)^2. The jump
     integral of the quadratic ansatz is evaluated exactly through the first and
     second Levy moments. The residual is scaled by the largest term magnitude
     at each state. Overflow raises no numpy warning: it leaves a NaN residual.
+    A scalar call returns a float, a stacked one a (k,) array.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    if states.shape[0] == 0:
+    if states.shape[-2] == 0:
         raise ValueError("BKE residual needs at least one state")
-    rho = q * h
+    q1, h1 = _draws(q, 1), _draws(h, 1)
+    const = _draws(ansatz.constant, 1)
+    rho = q1 * h1
     r = lift.r
-    a, b, const = ansatz.a, ansatz.b, ansatz.constant
-    x, ys = states[:, 0], states[:, 1:]
-    grad = states @ a + b  # a is symmetric
-    run = (x - x0 - kappa * np.sum(ys, axis=1)) ** 2
-    drift = (-h * x + ys @ (rho - r)) * grad[:, 0]
-    decay = -(ys * grad[:, 1:]) @ r
-    diag = a[0, 0] + 2.0 * a[0, 1:] + np.diagonal(a)[1:]
-    jump_per_comp = 0.5 * model.M2 * diag + model.M1 * (grad[:, :1] + grad[:, 1:])
+    a, b = ansatz.a, ansatz.b
+    x, ys = states[..., 0], states[..., 1:]
+    grad = states @ a + b[..., None, :]  # a is symmetric
+    run = (x - _draws(x0, 1) - _draws(kappa, 1) * ys.sum(axis=-1)) ** 2
+    drift = (-h1 * x + (ys @ (rho - r)[..., None])[..., 0]) * grad[..., 0]
+    decay = -(ys * grad[..., 1:]) @ r
+    diag = a[..., 0, :1] + 2.0 * a[..., 0, 1:] + a.diagonal(axis1=-2, axis2=-1)[..., 1:]
+    jump_per_comp = 0.5 * model.M2 * diag[..., None, :] + model.M1 * (grad[..., :1] + grad[..., 1:])
     intensity = lift.c * model.A + r * model.B * ys
-    jump = np.sum(intensity * jump_per_comp, axis=1)
+    jump = (intensity * jump_per_comp).sum(axis=-1)
     terms = np.abs([np.full_like(x, const), run, drift, decay, jump])
     residual = -const + run + drift + decay + jump
     scale = np.maximum(terms.max(axis=0), 1e-300)
-    return float(np.max(np.abs(residual) / scale))
+    worst = (np.abs(residual) / scale).max(axis=-1)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def bke_residual_J(
     model: SupCbiModel,
     lift: MarkovianLift,
-    q: float,
-    h: float,
+    q,
+    h,
     states: np.ndarray,
     perturb=None,
-) -> float:
+):
     """Max relative residual of the variance BKE at the given (x, y) samples.
 
     It certifies at the target xhat = q E[Y_n] (running cost (x - xhat)^2).
     perturb = (kind, i, j, factor) scales one coefficient by a finite factor
-    for negative-control testing; kind in {"a", "b", "const"}.
+    for negative-control testing; kind in {"a", "b", "const"}. With q and h
+    (k,) arrays and states (k, S, n+1), it certifies k draws in one
+    evaluation and returns each draw's residual, the scalar call's to the bit.
     """
     xhat = q * stationary_mean(model, lift)
     ansatz = _apply_perturbation(variance_bke_coefficients(model, lift, q, h, xhat), perturb)
@@ -491,11 +542,14 @@ def bke_residual_J(
 def bke_residual_K(
     model: SupCbiModel,
     lift: MarkovianLift,
-    q: float,
-    h: float,
+    q,
+    h,
     states: np.ndarray,
     perturb=None,
-) -> float:
-    """Max relative residual of the cost BKE (constant L, running cost (x - q*sum(y))^2)."""
+):
+    """Max relative residual of the cost BKE (constant L, running cost (x - q*sum(y))^2).
+
+    It takes a scalar draw or a stack of draws as `bke_residual_J` does.
+    """
     ansatz = _apply_perturbation(cost_bke_coefficients(model, lift, q, h), perturb)
     return _bke_residual(model, lift, q, h, ansatz, states, 0.0, q)

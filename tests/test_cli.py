@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from supcbi import control
 from supcbi.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK, main
 from supcbi.lift import MarkovianLift, build_lift
 from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
@@ -508,9 +509,42 @@ class TestVerifyCommand:
         assert run(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_CONFIG
         assert not (tmp_path / "verify.txt").exists()
 
+    @pytest.mark.parametrize("rows", [None, 1, 45])
+    def test_one_batched_certificate_per_lift_chunk(self, tmp_path, monkeypatch, rows):
+        # check 2 draws a chunk of draws (at most _BKE_ROWS state rows) and
+        # certifies it with one J and one K call; the chunk size cannot move a byte
+        cfg = write_cfg(tmp_path, self.CFG)
+        assert run(["verify", "--config", cfg, "--out", str(tmp_path / "whole"), "--quiet"]) == EXIT_OK
+        calls = []
+
+        def spy(fn):
+            def certify(model, lift, q, h, states, **kwargs):
+                calls.append((fn.__name__, lift.n, states.shape))
+                return fn(model, lift, q, h, states, **kwargs)
+            return certify
+
+        monkeypatch.setattr("supcbi.cli.bke_residual_J", spy(control.bke_residual_J))
+        monkeypatch.setattr("supcbi.cli.bke_residual_K", spy(control.bke_residual_K))
+        if rows is not None:
+            monkeypatch.setattr("supcbi.cli._BKE_ROWS", rows)
+        out = tmp_path / "chunked"
+        assert run(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+        assert (out / "verify.txt").read_bytes() == (tmp_path / "whole" / "verify.txt").read_bytes()
+        # 4 draws of 20 states: one chunk, one draw per chunk, or 2 draws per chunk
+        sizes = {None: [4], 1: [1, 1, 1, 1], 45: [2, 2]}[rows]
+        expected = [(name, n, (k, 20, n + 1))
+                    for n in (1, 2, 4) for k in sizes for name in ("bke_residual_J", "bke_residual_K")]
+        assert calls == expected
+
     def test_nan_residual_fails(self, tmp_path, monkeypatch):
-        # max(0.0, nan) is 0.0: the worst residual must not read a NaN as 0.000e+00 and pass
-        monkeypatch.setattr("supcbi.cli.bke_residual_J", lambda *args, **kwargs: math.nan)
+        # max(0.0, nan) is 0.0: the worst residual must not read one NaN draw
+        # of a batch as 0.000e+00 and pass
+        def nan_in_batch(*args, **kwargs):
+            residuals = control.bke_residual_J(*args, **kwargs)
+            residuals[-1] = math.nan
+            return residuals
+
+        monkeypatch.setattr("supcbi.cli.bke_residual_J", nan_in_batch)
         cfg = write_cfg(tmp_path, self.CFG)
         assert run(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_NUMERICAL
         lines = (tmp_path / "verify.txt").read_text().splitlines()

@@ -6,7 +6,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 from scipy import integrate, stats
 
 from supcbi import control
@@ -642,6 +642,57 @@ class TestBkeResiduals:
         states = np.random.default_rng(m).uniform(0.0, 3.0, size=(20, lift.n + 1))
         assert bke_residual_J(model, lift, q, h, states) <= 1e-8
         assert bke_residual_K(model, lift, q, h, states) <= 1e-8
+
+    @seed(23)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        alpha=st.floats(1.05, 6.0),
+        beta=st.floats(1e-3, 10.0),
+        c1=st.one_of(st.floats(-0.9, -0.01), st.just(0.0), st.floats(0.01, 0.95)),
+        c2=st.floats(0.01, 10.0),
+        a=st.floats(1e-3, 10.0),
+        excitation=st.floats(0.0, 0.95),
+        m=st.integers(0, 3),
+        draws=st.integers(1, 6),
+        kind=st.sampled_from([None, "a", "b", "const"]),
+        index=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+        factor=st.floats(0.5, 2.0),
+        draw_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_draws_equal_their_scalar_calls(
+        self, alpha, beta, c1, c2, a, excitation, m, draws, kind, index, factor, draw_seed
+    ):
+        # a leading draw axis only loops the scalar call's operations: each
+        # draw's coefficients and residuals are the scalar call's, bit for bit
+        nu = TemperedStableLevy(c1=c1, c2=c2)
+        model = SupCbiModel(
+            A=a, B=excitation / levy_moment(nu, 1),
+            pi=GammaMixingMeasure(alpha=alpha, beta=beta), nu=nu,
+        )
+        lift = build_lift(model.pi, m)
+        perturb = None if kind is None else (kind, *(i % (lift.n + 1) for i in index), factor)
+        rng = np.random.default_rng(draw_seed)
+        q, h = rng.uniform(0.05, 3.0, draws), 10.0 ** rng.uniform(-3.0, 3.0, draws)
+        states = rng.uniform(0.0, 5.0, size=(draws, int(rng.integers(1, 30)), lift.n + 1))
+        xhat = q * stationary_mean(model, lift)
+        var = _apply_perturbation(variance_bke_coefficients(model, lift, q, h, xhat), perturb)
+        cost = _apply_perturbation(cost_bke_coefficients(model, lift, q, h), perturb)
+        res_j = bke_residual_J(model, lift, q, h, states, perturb=perturb)
+        res_k = bke_residual_K(model, lift, q, h, states, perturb=perturb)
+        assert res_j.shape == res_k.shape == (draws,)
+        for d in range(draws):
+            qd, hd = float(q[d]), float(h[d])
+            one_var = _apply_perturbation(variance_bke_coefficients(model, lift, qd, hd, float(xhat[d])), perturb)
+            one_cost = _apply_perturbation(cost_bke_coefficients(model, lift, qd, hd), perturb)
+            for stacked, one in ((var, one_var), (cost, one_cost)):
+                assert np.array_equal(stacked.a[d], one.a, equal_nan=True)
+                assert np.array_equal(stacked.b[d], one.b, equal_nan=True)
+                assert np.array_equal(stacked.constant[d], one.constant, equal_nan=True)
+            one_j = bke_residual_J(model, lift, qd, hd, states[d], perturb=perturb)
+            one_k = bke_residual_K(model, lift, qd, hd, states[d], perturb=perturb)
+            assert type(one_j) is float and type(one_k) is float
+            assert np.array_equal(res_j[d], one_j, equal_nan=True)
+            assert np.array_equal(res_k[d], one_k, equal_nan=True)
 
     @pytest.mark.parametrize("m", [0, 3, 7])
     def test_coefficients_match_meshgrid_transcription(self, m):

@@ -12,7 +12,9 @@ after another in child processes. It then times `supcbi simulate` on long
 B > 0 paths, which no perfbench workload reaches: cold, the least of
 LONG_PATH_RUNS child processes, which is mostly interpreter start-up and
 imports; and in-process, the median of LONG_PATH_RUNS `cli.main` calls in
-one child after one untimed call. Last it times the tier-1 suite. It
+one child after one untimed call. It times `supcbi verify` at its default
+states and draws the same in-process way, as the median of VERIFY_RUNS
+calls. Last it times the tier-1 suite. It
 writes their results together with the git revision, the sha256 of
 `git diff --full-index` of src, tests and perfbench against that revision
 (null when the tree matches it), so a record of an uncommitted tree still
@@ -48,6 +50,9 @@ LONG_PATH_CONFIG = (
 )
 LONG_PATH_HORIZONS = (10_000, 100_000)
 LONG_PATH_RUNS = 3
+# the reference model with verify's defaults: 100 states and 20 draws per lift
+VERIFY_CONFIG = "A = 0.5\nB = 0.3\nc1 = 0.4\nc2 = 1.3\nalpha = 2.1\nbeta = 0.8\n"
+VERIFY_RUNS = 9
 # run in one child: an untimed `cli.main` call, then the timed ones; prints their wall times
 IN_PROCESS = """
 import json, sys, time
@@ -57,7 +62,7 @@ walls = []
 for _ in range(runs + 1):
     start = time.perf_counter()
     if main(argv) != 0:
-        sys.exit(f"simulate exited nonzero: {argv}")
+        sys.exit(f"{argv[0]} exited nonzero: {argv}")
     walls.append(time.perf_counter() - start)
 print(json.dumps(walls[1:]))
 """
@@ -106,13 +111,26 @@ def _long_path(horizon: int) -> dict:
                                  f"{child.stderr.read().decode()}")
             child.stderr.close()
             peaks.append(usage.ru_maxrss / 1024.0)
-        done = _run([sys.executable, "-c", IN_PROCESS, str(LONG_PATH_RUNS), *command], _src_env())
-        if done.returncode != 0:
-            raise SystemExit(f"in-process simulate at horizon {horizon} exited {done.returncode}:\n"
-                             f"{done.stderr}")
-        in_process = statistics.median(json.loads(done.stdout))
+        in_process = _in_process(command, LONG_PATH_RUNS)
     return {"wall_s": round(min(walls), 3), "in_process_s": round(in_process, 4),
             "peak_rss_mb": round(max(peaks), 1)}
+
+
+def _in_process(command: list[str], runs: int) -> float:
+    """Median wall time of `runs` `cli.main(command)` calls in one child, after one untimed call."""
+    done = _run([sys.executable, "-c", IN_PROCESS, str(runs), *command], _src_env())
+    if done.returncode != 0:
+        raise SystemExit(f"in-process {' '.join(command)} exited {done.returncode}:\n{done.stderr}")
+    return statistics.median(json.loads(done.stdout))
+
+
+def _verify() -> dict:
+    """Median in-process wall time of `supcbi verify` on VERIFY_CONFIG."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "verify.cfg"
+        config.write_text(VERIFY_CONFIG)
+        command = ["verify", "--config", str(config), "--out", tmp, "--quiet"]
+        return {"in_process_s": round(_in_process(command, VERIFY_RUNS), 4)}
 
 
 def _tier1() -> dict:
@@ -146,6 +164,7 @@ def record(out: Path) -> None:
     for workload in WORKLOADS:
         report["workloads"][workload] = {mode: _perfbench(workload, trace) for mode, trace in MODES.items()}
     report["long_paths"] = {str(horizon): _long_path(horizon) for horizon in LONG_PATH_HORIZONS}
+    report["verify"] = _verify()
     report["tier1"] = _tier1()
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     incorrect = [f"{w} {m}" for w, runs in report["workloads"].items() for m, run in runs.items()
@@ -154,7 +173,7 @@ def record(out: Path) -> None:
 
 
 def _metrics(report: dict) -> dict[str, float]:
-    """Every metric of a snapshot, keyed workload/mode/metric, plus tier1/wall_s and the long paths."""
+    """Every metric of a snapshot, keyed workload/mode/metric, plus tier1/wall_s, the long paths and verify."""
     flat = {"tier1/wall_s": report["tier1"]["wall_s"]}
     for workload, runs in report["workloads"].items():
         for mode, run in runs.items():
@@ -163,6 +182,8 @@ def _metrics(report: dict) -> dict[str, float]:
     for horizon, run in report.get("long_paths", {}).items():
         for name, value in run.items():
             flat[f"long_path/{horizon}/{name}"] = value
+    for name, value in report.get("verify", {}).items():
+        flat[f"verify/{name}"] = value
     return flat
 
 
