@@ -44,7 +44,6 @@ from .process import (
     acf,
     path_stats,
     simulate,
-    simulate_replicates,
     stationary_mean,
     stationary_variance,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "q_from_target",
     "read_series_csv",
     "simulate",
-    "simulate_replicates",
     "solve",
     "solve_hbar",
     "stationary_mean",

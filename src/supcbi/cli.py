@@ -40,7 +40,6 @@ from .process import (
     grid_mean_variance,
     path_stats,
     simulate,
-    simulate_replicates,
     stationary_mean,
     stationary_variance,
     write_path_csv,
@@ -60,6 +59,8 @@ EXIT_NUMERICAL = 4
 # state rows (draws x states) unless one draw has more; peak memory then does
 # not grow with draws x states
 _BKE_ROWS = 2**14
+# verify refuses more state rows in all than this (about 2 s of certificates)
+_MAX_BKE_ROWS = 2**20
 
 
 class ConfigError(ValueError):
@@ -366,14 +367,19 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> Result:
     n_draws = _get_int(config, "draws", 20)
     if n_states < 1 or n_draws < 1:
         raise ConfigError(f"states and draws must be at least 1, got {n_states} and {n_draws}")
+    if n_states * n_draws > _MAX_BKE_ROWS:
+        raise ConfigError(
+            f"{n_states} states x {n_draws} draws exceeds budget {_MAX_BKE_ROWS} state rows; "
+            "lower states or draws"
+        )
     perturb = _parse_perturb(config["perturb"]) if "perturb" in config else None
-    # check 3's paths are drawn first, so a refused path stops verify before any check runs
+    # check 3's path is drawn first, so a refused path stops verify before any check runs
     eps = _get_float(config, "eps", 1e-3)
     horizon = _get_float(config, "horizon", 200.0)
     dt = _get_float(config, "dt", 0.5)
     mc_lift = build_lift(model.pi, _override(args.m, config, "m", 2))
-    reps = 8
-    paths = simulate_replicates(model, mc_lift, horizon=horizon, dt=dt, eps=eps, seed=seed, count=reps)
+    # one path 8 times the horizon: as many samples as 8 paths, with one burn-in
+    path = simulate(model, mc_lift, horizon=8 * horizon, dt=dt, eps=eps, seed=seed)
     rng = np.random.default_rng(seed)
     lines: list[str] = []
     ok = True
@@ -414,10 +420,10 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> Result:
             f" variance {worst_j:.3e}, cost {worst_k:.3e} (tol {tol:.0e})"
         )
 
-    # 3. Monte Carlo vs closed form, at the exact standard error of the replicate mean
+    # 3. Monte Carlo vs closed form, at the exact standard error of the path mean
     trunc = model.truncated(eps)
-    mc_mean = float(np.mean([np.mean(path.y_total) for path in paths]))
-    se = math.sqrt(grid_mean_variance(trunc, mc_lift, paths[0].y_total.size, dt) / reps)
+    mc_mean = float(np.mean(path.y_total))
+    se = math.sqrt(grid_mean_variance(trunc, mc_lift, path.y_total.size, dt))
     cf_mean = stationary_mean(trunc, mc_lift)
     mc_ok = abs(mc_mean - cf_mean) <= 3.0 * se
     ok &= mc_ok

@@ -6,19 +6,15 @@ the lifted system with optional static feedback control. The jumps come from
 one cluster sampler: each component's immigrants are drawn in turn, then
 each later generation of children is drawn once for a whole batch of
 components (all of them unless the path is long); with B = 0 only the
-immigrants are drawn. Independent replicate paths are more immigrant streams
-of the same pass, one lane per component and path: `simulate_replicates`
-draws several paths at once, and `simulate` is its one-lane case. Small
-jumps below a truncation level eps are dropped; all closed-form comparisons
-against simulation use the eps-truncated moments so the truncation bias
-cancels.
+immigrants are drawn. Small jumps below a truncation level eps are dropped;
+all closed-form comparisons against simulation use the eps-truncated
+moments so the truncation bias cancels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -37,13 +33,12 @@ __all__ = [
     "acf",
     "grid_mean_variance",
     "simulate",
-    "simulate_replicates",
     "path_stats",
     "write_path_csv",
 ]
 
 _MAX_EXPECTED_JUMPS = 2e7  # `simulate` refuses a path expected to draw more jumps
-_MAX_GRID_CELLS = 2**25  # ... or more grid cells (steps x paths), 256 MiB per grid array
+_MAX_GRID_CELLS = 2**25  # ... or more grid cells (one per step), 256 MiB per grid array
 _BATCH_JUMPS = 2**16  # expected jumps of the components `simulate` draws together
 
 
@@ -190,78 +185,61 @@ def _component_events(
     eps: float,
     horizon: float,
     rng: np.random.Generator,
-    lanes: int,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Jump times, sizes and paths on [0, horizon] of `lanes` paths of the components c, r.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Jump times and sizes on [0, horizon] of the lift components with weights c and rates r.
 
     Cluster (branching) representation of the self-exciting intensity
     (c_i A + r_i B Y_i) nubar (Hawkes and Oakes 1974): component i's
     immigrants form a Poisson stream at rate c_i A nubar, and each jump of
-    size z has Poisson(B z nubar) children at Exp(r_i) delays. Independent
-    paths are just more immigrant streams: component i of path k is stream
-    i * lanes + k. Each component's immigrants are drawn for all its lanes
-    at once (counts, uniform times sorted within each lane, sizes). Each
-    later generation is drawn once for all the streams: np.repeat carries
-    every parent's stream to its children, so a generation stays sorted by
-    stream and one searchsorted splits it per component. Children past the
-    horizon are dropped with their descendants, which would come later
-    still. The mean number of children per jump is B M1(eps) = 1 - D_eps < 1,
-    so the generations die out; with B = 0 none is drawn. Returns one
-    (times, sizes, paths) triple per component, in order: paths[j] is the
-    path of jump j, and each path's jumps come in the order drawn, its
-    immigrants in time order and then its children generation by generation.
+    size z has Poisson(B z nubar) children at Exp(r_i) delays. Immigrants
+    and their sizes are drawn per component, in component order. Each later
+    generation is drawn once for all the components: np.repeat carries
+    every parent's component to its children, so a generation stays sorted
+    by component and one searchsorted splits it. Children past the horizon
+    are dropped with their descendants, which would come later still. The
+    mean number of children per jump is B M1(eps) = 1 - D_eps < 1, so the
+    generations die out; with B = 0 none is drawn. Returns one (times, sizes)
+    pair per component, in order: its immigrants in time order, then its
+    children generation by generation.
     """
     immigrants = []
     for c_i in c:
-        counts = rng.poisson(c_i * model.A * nubar * horizon, size=lanes).tolist()
-        ends = [0, *accumulate(counts)]
-        times = rng.uniform(0.0, horizon, size=ends[-1])
-        for lo, hi in zip(ends, ends[1:]):
-            times[lo:hi].sort()
-        sizes = model.nu.sample_truncated(eps, times.size, rng)
-        immigrants.append((times, sizes, np.repeat(np.arange(lanes), counts)))
+        times = np.sort(rng.uniform(0.0, horizon, size=rng.poisson(c_i * model.A * nubar * horizon)))
+        immigrants.append((times, model.nu.sample_truncated(eps, times.size, rng)))
     if model.B == 0.0:
         return immigrants
-    firsts = np.arange(c.size) * lanes  # the stream of each component's path 0
-    times, sizes, paths = zip(*immigrants)
-    times, sizes = np.concatenate(times), np.concatenate(sizes)
-    stream = np.concatenate([own + first for own, first in zip(paths, firsts)])
-    generations = [(times, sizes, stream)]
-    rate = np.repeat(r, lanes)
+    component = np.repeat(np.arange(c.size), [times.size for times, _ in immigrants])
+    times, sizes = (np.concatenate(column) for column in zip(*immigrants))
+    generations = [(times, sizes, component)]
     while times.size:
         kids = rng.poisson(model.B * nubar * sizes)
-        stream = np.repeat(stream, kids)
-        times = np.repeat(times, kids) + rng.exponential(size=stream.size) / rate[stream]
+        component = np.repeat(component, kids)
+        times = np.repeat(times, kids) + rng.exponential(size=component.size) / r[component]
         keep = times <= horizon
-        stream, times = stream[keep], times[keep]
+        component, times = component[keep], times[keep]
         sizes = model.nu.sample_truncated(eps, times.size, rng)
-        generations.append((times, sizes, stream))
-    # a generation is sorted by stream, so one searchsorted splits it per component
-    cuts = [[0, *np.searchsorted(g[2], firsts[1:]).tolist(), g[2].size] for g in generations]
-    events = []
-    for i, first in enumerate(firsts):
-        own = [[a[cut[i] : cut[i + 1]] for a in g] for g, cut in zip(generations, cuts)]
-        times, sizes, paths = map(np.concatenate, zip(*own))
-        paths -= first  # in place: concatenate made a copy
-        events.append((times, sizes, paths))
-    return events
+        generations.append((times, sizes, component))
+    slices = []
+    for times, sizes, component in generations:
+        bounds = np.searchsorted(component, np.arange(c.size + 1)).tolist()
+        slices.append([(times[a:b], sizes[a:b]) for a, b in zip(bounds, bounds[1:])])
+    # per component, its slice of every generation, in generation order
+    return [tuple(map(np.concatenate, zip(*own))) for own in zip(*slices)]
 
 
 def _decay_scan(x: np.ndarray, decay: float) -> np.ndarray:
-    """First-order recursion y[0] = 0, y[k] = decay * y[k-1] + x[k] along the first axis.
+    """First-order recursion y[0] = 0, y[k] = decay * y[k-1] + x[k], as a doubling scan.
 
-    A doubling scan: after the round with shift s, y[k] holds
-    sum(decay^j x[k-j], j < 2s); each round adds decay^s times the array
-    shifted by s, then squares the factor (Kogge and Stone 1973). That is
-    about log2(len(x)) numpy passes. The factor only shrinks, so nothing
-    overflows, and the scan stops early once it underflows to 0. A row of
-    a 2-D x is one step of several recursions, one per column, and each
-    round shifts whole rows.
+    After the round with shift s, y[k] holds sum(decay^j x[k-j], j < 2s); each
+    round adds decay^s times the array shifted by s, then squares the factor
+    (Kogge and Stone 1973). That is about log2(size) numpy passes. The
+    factor only shrinks, so nothing overflows, and the scan stops early once
+    it underflows to 0.
     """
     y = x.astype(float)  # a copy; bincount of no jumps gives an int array
     y[:1] = 0.0
     s, f = 1, decay
-    while s < len(y) and f != 0.0:
+    while s < y.size and f != 0.0:
         y[s:] += f * y[:-s]
         s, f = 2 * s, f * f
     return y
@@ -297,42 +275,6 @@ def simulate(
     discarded to approximate stationarity from the zero initial condition.
     The path is drawn from the generator seeded (seed, replicate).
     """
-    rng = np.random.default_rng((seed, replicate))
-    return _simulate(model, lift, horizon, dt, eps, rng, 1, controller)[0]
-
-
-def simulate_replicates(
-    model: SupCbiModel,
-    lift: MarkovianLift,
-    horizon: float,
-    dt: float,
-    eps: float,
-    seed: int,
-    count: int,
-    controller: Controller | None = None,
-) -> list[SimulatedPath]:
-    """`count` independent paths as `simulate` draws them, drawn together in one cluster pass.
-
-    They come from the generator seeded (seed, 0): count = 1 gives the bytes
-    of simulate(..., replicate=0), and more lanes share that stream, so no
-    lane then repeats a `simulate` replicate.
-    """
-    if count < 1:
-        raise ValueError(f"need at least one replicate, got {count}")
-    return _simulate(model, lift, horizon, dt, eps, np.random.default_rng((seed, 0)), count, controller)
-
-
-def _simulate(
-    model: SupCbiModel,
-    lift: MarkovianLift,
-    horizon: float,
-    dt: float,
-    eps: float,
-    rng: np.random.Generator,
-    lanes: int,
-    controller: Controller | None,
-) -> list[SimulatedPath]:
-    """`lanes` paths of `simulate`: column k of each (steps, lanes) grid array is path k."""
     if dt <= 0.0 or horizon <= 0.0:
         raise ValueError("horizon and dt must be positive")
     if eps <= 0.0:
@@ -353,9 +295,9 @@ def _simulate(
 
     # a Python float, which may lie beyond the int range or be inf (without a numpy warning)
     grid_steps = total / dt + 1.0
-    if grid_steps * lanes > _MAX_GRID_CELLS:
+    if grid_steps > _MAX_GRID_CELLS:
         raise ValueError(
-            f"grid of {grid_steps:.3g} steps x {lanes} paths exceeds budget {_MAX_GRID_CELLS} cells; "
+            f"grid of {grid_steps:.3g} cells exceeds budget {_MAX_GRID_CELLS} cells; "
             "raise dt or shorten the horizon"
         )
     steps = int(math.floor(total / dt)) + 1
@@ -363,35 +305,31 @@ def _simulate(
     if k0 >= steps:
         raise ValueError(f"horizon {horizon:.6g} records no sample at spacing dt = {dt:.6g}")
     grid = np.arange(steps) * dt
+    rng = np.random.default_rng((seed, replicate))
 
-    y_total = np.zeros((steps, lanes))
+    y_total = np.zeros(steps)
     h = rho = None
     if controller is not None:
         h = controller.rho - controller.u
         rho = controller.rho
-        z_forcing = np.zeros((steps, lanes))  # per-step convolution increments for the smooth part
+        z_forcing = np.zeros(steps)  # per-step convolution increments for the smooth part
 
     # consecutive components share the generation rounds of a batch of about
-    # _BATCH_JUMPS expected jumps over all lanes, whose arrays stay small
-    batch = np.floor(lanes * expected * (np.cumsum(lift.c) - lift.c) / _BATCH_JUMPS)
+    # _BATCH_JUMPS expected jumps, whose arrays stay small
+    batch = np.floor(expected * (np.cumsum(lift.c) - lift.c) / _BATCH_JUMPS)
     starts = [*np.flatnonzero(np.diff(batch, prepend=-1.0)).tolist(), lift.n]
     for a, b in zip(starts, starts[1:]):
-        events = _component_events(model, lift.c[a:b], lift.r[a:b], nubar, eps, grid[-1], rng, lanes)
-        for r_i, (times, sizes, paths) in zip(lift.r[a:b], events):
-            cells = np.minimum((np.floor(times / dt)).astype(int) + 1, steps - 1)
-            # contribution of each jump to the component value at the end of its step
-            w = sizes * np.exp(-r_i * (cells * dt - times))
-            if controller is not None:
-                # integral of exp(-h*(t_k - s)) Y_i(s) ds over each step, exact
-                g = sizes * _exp_diff(r_i, h, cells * dt - times)
-            # one bincount cell per (step, path), in the row-major order of a grid array
-            cells *= lanes
-            cells += paths
-            yi = _decay_scan(np.bincount(cells, weights=w, minlength=steps * lanes).reshape(steps, lanes),
-                             math.exp(-r_i * dt))
+        events = _component_events(model, lift.c[a:b], lift.r[a:b], nubar, eps, grid[-1], rng)
+        for r_i, (times, sizes) in zip(lift.r[a:b], events):
+            bins = np.minimum((np.floor(times / dt)).astype(int) + 1, steps - 1)
+            # contribution of each jump to the component value at the end of its bin
+            w = sizes * np.exp(-r_i * (bins * dt - times))
+            yi = _decay_scan(np.bincount(bins, weights=w, minlength=steps), math.exp(-r_i * dt))
             y_total += yi
             if controller is not None:
-                gb = np.bincount(cells, weights=g, minlength=steps * lanes).reshape(steps, lanes)
+                # integral of exp(-h*(t_k - s)) Y_i(s) ds over each step, exact
+                g = sizes * _exp_diff(r_i, h, bins * dt - times)
+                gb = np.bincount(bins, weights=g, minlength=steps)
                 step_w = _exp_diff(r_i, h, dt)
                 # forcing from the state at the step start plus within-step jumps
                 z_forcing[1:] += yi[:-1] * step_w + gb[1:]
@@ -402,16 +340,12 @@ def _simulate(
         x = _decay_scan(controller.u * z_forcing, math.exp(-h * dt)) + y_total
         c_rate = -h * x + rho * y_total
 
-    t = grid[k0:] - grid[k0]
-    return [
-        SimulatedPath(
-            t=t,
-            y_total=y_total[k0:, k],
-            x=None if x is None else x[k0:, k],
-            c_rate=None if c_rate is None else c_rate[k0:, k],
-        )
-        for k in range(lanes)
-    ]
+    return SimulatedPath(
+        t=grid[k0:] - grid[k0],
+        y_total=y_total[k0:],
+        x=None if x is None else x[k0:],
+        c_rate=None if c_rate is None else c_rate[k0:],
+    )
 
 
 @dataclass

@@ -10,7 +10,7 @@ import pytest
 
 from supcbi import control
 from supcbi.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK, main
-from supcbi.lift import MarkovianLift, build_lift
+from supcbi.lift import MarkovianLift, build_lift, convergence_report
 from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
 from supcbi.process import SupCbiModel, grid_mean_variance, simulate, stationary_mean
 
@@ -481,9 +481,30 @@ class TestVerifyCommand:
             nu=TemperedStableLevy(c1=0.4, c2=1.3),
         )
         lift = build_lift(model.pi, 1)
-        path = simulate(model, lift, horizon=150.0, dt=0.5, eps=0.005, seed=2)
+        # one path 8 times the configured horizon of 150
+        path = simulate(model, lift, horizon=1200.0, dt=0.5, eps=0.005, seed=2)
         var = grid_mean_variance(model.truncated(0.005), lift, path.y_total.size, 0.5)
-        assert float(words[11]) == pytest.approx(3.0 * math.sqrt(var / 8), rel=5e-3)
+        assert float(words[11]) == pytest.approx(3.0 * math.sqrt(var), rel=5e-3)
+        assert float(words[3]) == pytest.approx(path.y_total.mean(), rel=1e-5)
+
+    def test_monte_carlo_path_is_one_simulate_call_drawn_first(self, tmp_path, monkeypatch):
+        # check 3 draws one path 8 times the horizon, before check 1 runs
+        calls = []
+
+        def spy(model, lift, **kwargs):
+            calls.append(("simulate", kwargs))
+            return simulate(model, lift, **kwargs)
+
+        def convergence_spy(*args):
+            calls.append(("convergence_report", args))
+            return convergence_report(*args)
+
+        monkeypatch.setattr("supcbi.cli.simulate", spy)
+        monkeypatch.setattr("supcbi.cli.convergence_report", convergence_spy)
+        cfg = write_cfg(tmp_path, self.CFG)
+        assert run(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        assert [name for name, _ in calls] == ["simulate", "convergence_report"]
+        assert calls[0][1] == dict(horizon=1200.0, dt=0.5, eps=0.005, seed=2)
 
     def test_corrupted_coefficient_fails(self, tmp_path, capsys):
         # a FAIL (exit 4) is a finding, not an error: verify.txt is written and echoed
@@ -576,14 +597,15 @@ class TestVerifyCommand:
         "text",
         [
             "A = 0.5\nB = 0.3\nc1 = 0.4\nc2 = 1.3\nalpha = 2.1\nbeta = 1e300\nhorizon = -1\n",
-            "A = 0.5\nB = 0.3\nc1 = 0.4\nc2 = 1.3\nalpha = 2.1\nbeta = 0.8\nhorizon = 200\ndt = 500\n",
+            "A = 0.5\nB = 0.3\nc1 = 0.4\nc2 = 1.3\nalpha = 2.1\nbeta = 0.8\nhorizon = 200\ndt = 5000\n",
         ],
         ids=["negative-horizon", "dt-above-horizon"],
     )
     def test_refused_path_stops_verify_before_any_check(self, tmp_path, capsys, monkeypatch, text):
-        # check 3's paths are drawn first: a refused one exits 2 before check 1
+        # check 3's path is drawn first: a refused one exits 2 before check 1
         # builds the m = 9 and m = 10 lifts, and before check 2's coefficient
-        # blocks overflow at beta = 1e300 with three RuntimeWarnings
+        # blocks overflow at beta = 1e300 with three RuntimeWarnings; the path
+        # is 8 x 200 long, so dt = 5000 records no sample
         def no_check_1(*args, **kwargs):
             raise AssertionError("check 1 ran before the Monte Carlo paths were drawn")
 
@@ -607,6 +629,20 @@ class TestVerifyCommand:
         assert run(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "at least 1" in capsys.readouterr().err
         assert not (tmp_path / "verify.txt").exists()
+
+    @pytest.mark.parametrize(
+        "counts", ["draws = 1000000000000000\n", "states = 1000000000000000\ndraws = 1\n"], ids=["draws", "states"]
+    )
+    def test_state_rows_beyond_budget_refused(self, tmp_path, capsys, counts):
+        # 1e15 draws (or states) is 16 PB of residuals (or states): np.empty
+        # raised a numpy MemoryError past cli.main, a traceback and exit 1
+        text = self.CFG.replace("states = 20\ndraws = 4\n", "") + counts
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert run(["verify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "state rows" in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_import_does_not_load_scipy_signal():

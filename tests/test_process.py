@@ -23,7 +23,6 @@ from supcbi.process import (
     grid_mean_variance,
     path_stats,
     simulate,
-    simulate_replicates,
     stationary_cumulants,
     stationary_mean,
     stationary_variance,
@@ -258,13 +257,6 @@ class TestDecayScan:
         assert _decay_scan(np.array([3, 1, 2]), 0.5).tolist() == [0.0, 1.0, 2.5]
 
 
-def _draw(model, lift, count, **run):
-    """`simulate` when count is None, else `simulate_replicates` with count lanes."""
-    if count is None:
-        return [simulate(model, lift, eps=1e-2, seed=0, **run)]
-    return simulate_replicates(model, lift, eps=1e-2, seed=0, count=count, **run)
-
-
 class TestSimulate:
     def test_determinism(self):
         model = small_model()
@@ -366,10 +358,10 @@ class TestSimulate:
         rng = np.random.default_rng(41)
         counts = np.empty((400, lift.n))
         for rep in range(counts.shape[0]):
-            events = _component_events(model, lift.c, lift.r, nubar, eps, horizon, rng, 1)
+            events = _component_events(model, lift.c, lift.r, nubar, eps, horizon, rng)
             assert len(events) == lift.n
-            for i, (times, sizes, paths) in enumerate(events):
-                assert times.size == sizes.size and paths.tolist() == [0] * times.size
+            for i, (times, sizes) in enumerate(events):
+                assert times.size == sizes.size
                 assert np.all((times >= 0.0) & (times <= horizon))
                 assert np.all(sizes >= eps)
                 counts[rep, i] = times.size
@@ -387,17 +379,38 @@ class TestSimulate:
         nubar = model.nu.tail_mass(eps)
         for seed in range(6):
             rng = np.random.default_rng(seed)
-            events = _component_events(model, lift.c, lift.r, nubar, eps, horizon, rng, 1)
+            events = _component_events(model, lift.c, lift.r, nubar, eps, horizon, rng)
             ref = np.random.default_rng(seed)
             assert len(events) == lift.n
-            for c_i, (times, sizes, paths) in zip(lift.c, events):
+            for c_i, (times, sizes) in zip(lift.c, events):
                 n_jumps = ref.poisson(c_i * model.A * nubar * horizon)
                 ref_times = np.sort(ref.uniform(0.0, horizon, size=n_jumps))
                 ref_sizes = model.nu.sample_truncated(eps, n_jumps, ref)
                 assert times.tobytes() == ref_times.tobytes()
                 assert sizes.tobytes() == ref_sizes.tobytes()
-                assert paths.tolist() == [0] * n_jumps
             assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_self_exciting_case_draws_each_components_immigrants_first(self):
+        # with B > 0 each component still draws its immigrants as with B = 0;
+        # its jumps then begin with exactly those, in time order, and its
+        # children follow
+        model = small_model(B=0.4, A=0.5)
+        lift = MarkovianLift(r=np.array([0.2, 0.7, 3.0]), c=np.array([0.5, 0.3, 0.2]))
+        eps, horizon = 1e-2, 50.0
+        nubar = model.nu.tail_mass(eps)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        events = _component_events(model, lift.c, lift.r, nubar, eps, horizon, rng)
+        assert len(events) == lift.n
+        children = 0
+        for c_i, (times, sizes) in zip(lift.c, events):
+            assert times.size == sizes.size
+            assert np.all((times >= 0.0) & (times <= horizon))
+            n_jumps = ref.poisson(c_i * model.A * nubar * horizon)
+            own_times = np.sort(ref.uniform(0.0, horizon, size=n_jumps))
+            assert times[:n_jumps].tobytes() == own_times.tobytes()
+            assert sizes[:n_jumps].tobytes() == model.nu.sample_truncated(eps, n_jumps, ref).tobytes()
+            children += times.size - n_jumps
+        assert children > 0
 
     @pytest.mark.parametrize("controlled", [False, True])
     def test_poisson_case_path_does_not_depend_on_the_batching(self, controlled, monkeypatch):
@@ -474,25 +487,23 @@ class TestSimulate:
         with pytest.raises(ValueError, match="budget"):
             simulate(model, lift, horizon=1e4, dt=1.0, eps=1e-12, seed=0)
 
-    @pytest.mark.parametrize("count", [None, 3], ids=["simulate", "simulate_replicates"])
     @pytest.mark.parametrize("horizon, dt", [(50.0, 1e5), (1e-12, 0.5)])
-    def test_path_with_no_sample_refused(self, count, horizon, dt):
+    def test_path_with_no_sample_refused(self, horizon, dt):
         # the burn-in covers every grid time up to the horizon: grid[k0] raised IndexError
         model = small_model()
         lift = build_lift(model.pi, 1)
         with pytest.raises(ValueError, match="records no sample"):
-            _draw(model, lift, count, horizon=horizon, dt=dt)
+            simulate(model, lift, horizon=horizon, dt=dt, eps=1e-2, seed=0)
 
-    @pytest.mark.parametrize("count", [None, 3], ids=["simulate", "simulate_replicates"])
     @pytest.mark.parametrize("dt", [1e-12, 1e-320])
-    def test_grid_budget_guard(self, count, dt):
+    def test_grid_budget_guard(self, dt):
         # 7e13 steps or more: a grid beyond the address space, refused before
         # any allocation. It raised MemoryError, and OverflowError at
         # dt = 1e-320, where total / dt is inf
         model = small_model()
         lift = build_lift(model.pi, 1)
         with pytest.raises(ValueError, match="budget .* cells"):
-            _draw(model, lift, count, horizon=60.0, dt=dt)
+            simulate(model, lift, horizon=60.0, dt=dt, eps=1e-2, seed=0)
 
     def test_argument_validation(self):
         model = small_model()
@@ -501,104 +512,6 @@ class TestSimulate:
             simulate(model, lift, horizon=-1.0, dt=1.0, eps=1e-2, seed=0)
         with pytest.raises(ValueError):
             simulate(model, lift, horizon=1.0, dt=1.0, eps=0.0, seed=0)
-
-
-class TestSimulateReplicates:
-    # the self-exciting model and 4-component lift of the batching test above
-    LIFT = MarkovianLift(r=np.array([0.6, 1.3, 2.1, 3.6]), c=np.array([0.4, 0.3, 0.2, 0.1]))
-
-    @pytest.mark.parametrize("B, controlled", [(0.0, False), (0.0, True), (0.4, False), (0.4, True)])
-    def test_one_lane_is_simulate_replicate_zero(self, B, controlled):
-        model = small_model(B=B, A=0.5)
-        lift = build_lift(model.pi, 2)
-        ctrl = Controller(rho=1.2, u=-0.4, xhat=1.0) if controlled else None
-        for seed in (3, 11):
-            (lane,) = simulate_replicates(model, lift, horizon=150.0, dt=0.5, eps=1e-3, seed=seed,
-                                          count=1, controller=ctrl)
-            path = simulate(model, lift, horizon=150.0, dt=0.5, eps=1e-3, seed=seed, controller=ctrl)
-            for a, b in ((lane.t, path.t), (lane.y_total, path.y_total), (lane.x, path.x),
-                         (lane.c_rate, path.c_rate)):
-                assert (a is None and b is None) or a.tobytes() == b.tobytes()
-
-    def test_lanes_are_distinct_and_reproducible(self):
-        model = small_model(B=0.4, A=0.5)
-        lift = build_lift(model.pi, 1)
-        paths = simulate_replicates(model, lift, horizon=60.0, dt=0.5, eps=1e-2, seed=4, count=5)
-        again = simulate_replicates(model, lift, horizon=60.0, dt=0.5, eps=1e-2, seed=4, count=5)
-        assert [p.y_total.tobytes() for p in paths] == [p.y_total.tobytes() for p in again]
-        assert len({p.y_total.tobytes() for p in paths}) == 5
-        assert all(p.t.tobytes() == paths[0].t.tobytes() for p in paths)
-        with pytest.raises(ValueError, match="at least one"):
-            simulate_replicates(model, lift, horizon=60.0, dt=0.5, eps=1e-2, seed=4, count=0)
-
-    def test_multi_lane_poisson_case_draws_each_lanes_sorted_stream(self):
-        # with B = 0 each component draws its lanes' counts, then all their
-        # uniform times (sorted within each lane), then all their sizes
-        model = small_model()
-        lift = MarkovianLift(r=np.array([0.2, 0.7, 3.0]), c=np.array([0.5, 0.3, 0.2]))
-        eps, horizon, lanes = 1e-2, 50.0, 4
-        nubar = model.nu.tail_mass(eps)
-        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-        events = _component_events(model, lift.c, lift.r, nubar, eps, horizon, rng, lanes)
-        for c_i, (times, sizes, paths) in zip(lift.c, events):
-            counts = ref.poisson(c_i * model.A * nubar * horizon, size=lanes)
-            draws = ref.uniform(0.0, horizon, size=counts.sum())
-            bounds = np.cumsum(counts)[:-1]
-            ref_times = np.concatenate([np.sort(part) for part in np.split(draws, bounds)])
-            assert paths.tolist() == np.repeat(np.arange(lanes), counts).tolist()
-            assert times.tobytes() == ref_times.tobytes()
-            assert sizes.tobytes() == model.nu.sample_truncated(eps, counts.sum(), ref).tobytes()
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_multi_lane_self_exciting_case_tags_each_jump_with_its_path(self):
-        # with B > 0 each component still draws its lanes' immigrants first,
-        # as with B = 0; each path's jumps then begin with exactly its own
-        # immigrants, in time order, and its children follow
-        model = small_model(B=0.4, A=0.5)
-        lift = MarkovianLift(r=np.array([0.2, 0.7, 3.0]), c=np.array([0.5, 0.3, 0.2]))
-        eps, horizon, lanes = 1e-2, 50.0, 4
-        nubar = model.nu.tail_mass(eps)
-        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-        events = _component_events(model, lift.c, lift.r, nubar, eps, horizon, rng, lanes)
-        assert len(events) == lift.n
-        children = 0
-        for c_i, (times, sizes, paths) in zip(lift.c, events):
-            assert times.size == sizes.size == paths.size
-            assert np.all((paths >= 0) & (paths < lanes))
-            assert np.all((times >= 0.0) & (times <= horizon))
-            counts = ref.poisson(c_i * model.A * nubar * horizon, size=lanes)
-            draws = ref.uniform(0.0, horizon, size=counts.sum())
-            bounds = np.cumsum(counts)[:-1]
-            own = zip(np.split(draws, bounds), np.split(model.nu.sample_truncated(eps, counts.sum(), ref), bounds))
-            for k, (own_times, own_sizes) in enumerate(own):
-                assert times[paths == k][: own_times.size].tobytes() == np.sort(own_times).tobytes()
-                assert sizes[paths == k][: own_sizes.size].tobytes() == own_sizes.tobytes()
-            children += times.size - counts.sum()
-        assert children > 0
-
-    @pytest.mark.parametrize("batch_jumps", [process._BATCH_JUMPS, 1e-9], ids=["one-batch", "batch-per-component"])
-    def test_lane_moments_and_spread_of_lane_means(self, batch_jumps, monkeypatch):
-        # 24 lanes of one pass: the mean of the lane means against the closed
-        # form at its exact SE, the mean lane variance at the SE of the lanes'
-        # spread, and the spread of the lane means against the exact variance
-        # of a path mean (grid_mean_variance): 23 s^2 / V is chi-square with 23
-        # degrees of freedom for independent lanes, and a child sent to
-        # another lane of its component moves s^2 by orders of magnitude
-        monkeypatch.setattr(process, "_BATCH_JUMPS", batch_jumps)
-        model = small_model(B=0.4, A=0.5)
-        lift = self.LIFT
-        eps, count = 1e-3, 24
-        trunc = model.truncated(eps)
-        paths = simulate_replicates(model, lift, horizon=600.0, dt=0.5, eps=eps, seed=19, count=count)
-        means = np.array([p.y_total.mean() for p in paths])
-        variances = np.array([path_stats(p, 0).variance for p in paths])
-        v_mean = grid_mean_variance(trunc, lift, paths[0].y_total.size, 0.5)
-        z_mean = (means.mean() - stationary_mean(trunc, lift)) / math.sqrt(v_mean / count)
-        z_var = (variances.mean() - stationary_variance(trunc, lift)) / (variances.std(ddof=1) / math.sqrt(count))
-        spread = (count - 1) * means.var(ddof=1) / v_mean
-        print(f"z mean {z_mean:+.2f}, z variance {z_var:+.2f}, 23 s^2 / V = {spread:.1f}")
-        assert abs(z_mean) < 3.0 and abs(z_var) < 3.0
-        assert sps.chi2.ppf(0.0013, count - 1) < spread < sps.chi2.ppf(0.9987, count - 1)
 
 
 class TestPathStats:
