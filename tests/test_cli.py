@@ -598,14 +598,16 @@ class TestVerifyCommand:
         [
             "A = 0.5\nB = 0.3\nc1 = 0.4\nc2 = 1.3\nalpha = 2.1\nbeta = 1e300\nhorizon = -1\n",
             "A = 0.5\nB = 0.3\nc1 = 0.4\nc2 = 1.3\nalpha = 2.1\nbeta = 0.8\nhorizon = 200\ndt = 5000\n",
+            "A = 0.5\nB = 0.3\nc1 = 0.4\nc2 = 1.3\nalpha = 2.1\nbeta = 0.8\nhorizon = 200\ndt = 1e-12\n",
         ],
-        ids=["negative-horizon", "dt-above-horizon"],
+        ids=["negative-horizon", "dt-above-horizon", "grid-beyond-budget"],
     )
     def test_refused_path_stops_verify_before_any_check(self, tmp_path, capsys, monkeypatch, text):
         # check 3's path is drawn first: a refused one exits 2 before check 1
         # builds the m = 9 and m = 10 lifts, and before check 2's coefficient
         # blocks overflow at beta = 1e300 with three RuntimeWarnings; the path
-        # is 8 x 200 long, so dt = 5000 records no sample
+        # is 8 x 200 long, so dt = 5000 records no sample, and at dt = 1e-12
+        # its grid is refused before any allocation
         def no_check_1(*args, **kwargs):
             raise AssertionError("check 1 ran before the Monte Carlo paths were drawn")
 
@@ -631,7 +633,9 @@ class TestVerifyCommand:
         assert not (tmp_path / "verify.txt").exists()
 
     @pytest.mark.parametrize(
-        "counts", ["draws = 1000000000000000\n", "states = 1000000000000000\ndraws = 1\n"], ids=["draws", "states"]
+        "counts",
+        ["draws = 1000000000000000\n", "states = 1000000000000000\ndraws = 1\n", "states = 1025\ndraws = 1024\n"],
+        ids=["draws", "states", "product"],
     )
     def test_state_rows_beyond_budget_refused(self, tmp_path, capsys, counts):
         # 1e15 draws (or states) is 16 PB of residuals (or states): np.empty
@@ -643,6 +647,16 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "state rows" in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_state_rows_at_budget_run(self, tmp_path, monkeypatch):
+        # the budget bounds states x draws inclusively: 20 x 4 = 80 rows run at
+        # a budget of 80 and are refused at 79
+        cfg = write_cfg(tmp_path, self.CFG)
+        monkeypatch.setattr("supcbi.cli._MAX_BKE_ROWS", 80)
+        assert run(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        monkeypatch.setattr("supcbi.cli._MAX_BKE_ROWS", 79)
+        assert run(["verify", "--config", cfg, "--out", str(tmp_path / "refused"), "--quiet"]) == EXIT_CONFIG
+        assert not (tmp_path / "refused").exists()
 
 
 def test_import_does_not_load_scipy_signal():

@@ -514,6 +514,58 @@ class TestSimulate:
             simulate(model, lift, horizon=1.0, dt=1.0, eps=0.0, seed=0)
 
 
+class TestReplicates:
+    # independent paths are simulate calls seeded (seed, replicate)
+    LIFT = MarkovianLift(r=np.array([0.6, 1.3, 2.1, 3.6]), c=np.array([0.4, 0.3, 0.2, 0.1]))
+
+    @pytest.mark.parametrize("B, controlled", [(0.0, False), (0.0, True), (0.4, False), (0.4, True)])
+    def test_path_depends_only_on_seed_and_replicate(self, B, controlled):
+        # replicate 0 is the default path, and no draw leaks into the next call
+        model = small_model(B=B, A=0.5)
+        lift = build_lift(model.pi, 2)
+        ctrl = Controller(rho=1.2, u=-0.4, xhat=1.0) if controlled else None
+        run = dict(horizon=150.0, dt=0.5, eps=1e-3, seed=3, controller=ctrl)
+        first = simulate(model, lift, **run)
+        other = simulate(model, lift, replicate=1, **run)
+        again = simulate(model, lift, replicate=0, **run)
+        for a, b in ((first.t, again.t), (first.y_total, again.y_total), (first.x, again.x),
+                     (first.c_rate, again.c_rate)):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        assert other.y_total.tobytes() != first.y_total.tobytes()
+
+    def test_replicates_are_distinct_and_reproducible(self):
+        model = small_model(B=0.4, A=0.5)
+        lift = build_lift(model.pi, 1)
+        run = dict(horizon=60.0, dt=0.5, eps=1e-2, seed=4)
+        paths = [simulate(model, lift, replicate=k, **run) for k in range(5)]
+        again = [simulate(model, lift, replicate=k, **run) for k in range(5)]
+        assert [p.y_total.tobytes() for p in paths] == [p.y_total.tobytes() for p in again]
+        assert len({p.y_total.tobytes() for p in paths}) == 5
+        assert all(p.t.tobytes() == paths[0].t.tobytes() for p in paths)
+
+    @pytest.mark.parametrize("batch_jumps", [process._BATCH_JUMPS, 1e-9], ids=["one-batch", "batch-per-component"])
+    def test_spread_of_path_means_is_grid_mean_variance(self, batch_jumps, monkeypatch):
+        # verify rates one path's mean at sqrt(grid_mean_variance): over 24
+        # replicates 23 s^2 / V is chi-square with 23 degrees of freedom, and
+        # the mean of the means sits within 3 exact SEs of the closed form
+        monkeypatch.setattr(process, "_BATCH_JUMPS", batch_jumps)
+        model = small_model(B=0.4, A=0.5)
+        lift = self.LIFT
+        eps, count = 1e-3, 24
+        trunc = model.truncated(eps)
+        means = np.array([
+            simulate(model, lift, horizon=600.0, dt=0.5, eps=eps, seed=19, replicate=k).y_total.mean()
+            for k in range(count)
+        ])
+        n_samples = simulate(model, lift, horizon=600.0, dt=0.5, eps=eps, seed=19).y_total.size
+        v_mean = grid_mean_variance(trunc, lift, n_samples, 0.5)
+        z_mean = (means.mean() - stationary_mean(trunc, lift)) / math.sqrt(v_mean / count)
+        spread = (count - 1) * means.var(ddof=1) / v_mean
+        print(f"z mean {z_mean:+.2f}, 23 s^2 / V = {spread:.1f}")
+        assert abs(z_mean) < 3.0
+        assert sps.chi2.ppf(0.0013, count - 1) < spread < sps.chi2.ppf(0.9987, count - 1)
+
+
 class TestPathStats:
     def test_known_series(self):
         stats = path_stats(np.array([1.0, 2.0, 3.0, 4.0]))
