@@ -158,7 +158,8 @@ def fit_acf(acf: np.ndarray, d: float, dt: float = 1.0) -> AcfFit:
     sol = least_squares(residuals, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=20000)
     if not sol.success:
         raise RuntimeError(f"ACF fit failed to converge: {sol.message}")
-    a_minus_1, dbeta = np.exp(sol.x)
+    # Python floats: numpy scalars would turn a later 0/0 into a warning, not an error
+    a_minus_1, dbeta = np.exp(sol.x).tolist()
     alpha = 1.0 + a_minus_1
     return AcfFit(
         alpha=alpha,

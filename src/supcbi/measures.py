@@ -8,11 +8,17 @@ the closed form M_k = Gamma(k - c1) * c2^(c1 - k), and its tails above a
 truncation level follow from the upper incomplete gamma function Gamma(-c, x).
 Where scipy's functions would cancel or overflow, one integral evaluates it,
 `_scaled_upper_gamma`, for the tail mass and for `lift.GammaContinuum`.
+The inverse incomplete gamma functions cost microseconds a value, so a large
+array of them is split over the process's cores by `_split_ufunc`; the
+values are the same bits on any number of cores.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +67,7 @@ def pi_quantile(pi: GammaMixingMeasure, p: float | np.ndarray) -> float | np.nda
     probs = np.asarray(p, dtype=float)
     if not np.all((probs >= 0.0) & (probs <= 1.0)):
         raise ValueError(f"probability must lie in [0, 1], got {p}")
-    theta = pi.beta * gammaincinv(pi.alpha, probs)
+    theta = pi.beta * _split_ufunc(gammaincinv, pi.alpha, probs)
     return float(theta) if theta.ndim == 0 else theta
 
 
@@ -139,7 +145,7 @@ class TemperedStableLevy:
                     f"Gamma tail above eps = {eps:.6g} underflows (c1 = {c1:.6g}, c2 = {c2:.6g}); "
                     "lower the truncation level"
                 )
-            return gammainccinv(-c1, (1.0 - rng.uniform(size=size)) * tail) / c2
+            return _split_ufunc(gammainccinv, -c1, (1.0 - rng.uniform(size=size)) * tail) / c2
         pareto = c1 > c2 * eps
         out = np.empty(size)
         filled = 0
@@ -187,6 +193,65 @@ def _scaled_upper_gamma(c: float, x: float) -> float:
         lambda u: math.exp(-c * u / s - x * math.expm1(u / s)),
         0.0, s * math.log1p(750.0 / x), epsabs=0.0, epsrel=1e-13, limit=200,
     )[0] / s
+
+
+# Each chunk of a split evaluation holds at least this many points: split in
+# two on a 2-vCPU KVM guest, 960 gammaincinv points took 1.2x the time of one
+# call and 1024 points 0.7-0.9x, so 2048 keeps a margin above the crossover.
+_MIN_CHUNK = 2048
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _cores() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _executor(workers: int) -> ThreadPoolExecutor:
+    """The process's worker threads, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="supcbi-ufunc")
+        return _pool
+
+
+def _drop_executor() -> None:
+    # a forked child has none of its parent's threads: work submitted to the
+    # inherited pool would never run, so the child creates its own
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_executor)
+
+
+def _split_ufunc(ufunc: np.ufunc, a: float, x: np.ndarray) -> np.ndarray:
+    """ufunc(a, x) for an elementwise scipy.special ufunc, a scalar a and a float array x.
+
+    A 1-D x of 2 * _MIN_CHUNK points or more is cut into one contiguous chunk
+    per core, each of at least _MIN_CHUNK points. The calling thread fills
+    the first and the pool the others; the ufunc releases the interpreter
+    lock, so the chunks run at once. Each value is computed alone, so the
+    result has the bits of one call whatever the number of chunks.
+    """
+    cores = _cores() if x.ndim == 1 and x.size >= 2 * _MIN_CHUNK else 1
+    chunks = min(cores, x.size // _MIN_CHUNK)
+    if chunks < 2:
+        return ufunc(a, x)
+    out = np.empty_like(x)
+    bounds = [i * x.size // chunks for i in range(chunks + 1)]
+    pool = _executor(cores - 1)
+    futures = [pool.submit(ufunc, a, x[lo:hi], out=out[lo:hi]) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    ufunc(a, x[: bounds[1]], out=out[: bounds[1]])
+    for future in futures:
+        future.result()
+    return out
 
 
 def _check_moment_order(k: int) -> None:

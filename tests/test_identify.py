@@ -163,6 +163,13 @@ class TestFitAcf:
         assert fit.beta == pytest.approx(dbeta / 0.5, rel=1e-6)
         assert not fit.degenerate
 
+    def test_fields_are_python_numbers(self):
+        # numpy scalars would carry into the moment fit, where a 0/0 in the
+        # model statistics then warns instead of raising into the penalty branch
+        fit = fit_acf((1.0 + 0.05 * np.arange(50.0)) ** (-1.2), 0.5)
+        assert [type(v) for v in (fit.alpha, fit.beta, fit.dbeta, fit.residual)] == [float] * 4
+        assert type(fit.window) is int and type(fit.degenerate) is bool
+
     def test_window_stops_at_first_nonpositive(self):
         tau = np.arange(50.0)
         acf = (1.0 + 0.05 * tau) ** (-1.2)

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from supcbi.lift import (
     format_convergence_table,
     write_lift_csv,
 )
+from supcbi import measures
 from supcbi.measures import GammaMixingMeasure, inv_mean, pi_quantile
 
 
@@ -53,6 +56,29 @@ class TestBuildLift:
         scaled = build_lift(GammaMixingMeasure(alpha=2.2, beta=0.25), 4)
         assert scaled.r == pytest.approx(0.25 * base.r, rel=1e-9)
         assert scaled.inv_mean == pytest.approx(4.0 * base.inv_mean, rel=1e-9)
+
+
+def _build_split_lift() -> None:
+    # the target of a forked child: exits 1 if the rates differ from one call's
+    pi = GammaMixingMeasure(alpha=2.0, beta=1.0)
+    levels = (2.0 * np.arange(1, 8193) - 1.0) / 16384.0
+    if build_lift(pi, 13).r.tobytes() != special.gammaincinv(2.0, levels).tobytes():
+        raise SystemExit(1)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork here")
+def test_forked_child_builds_a_split_lift(monkeypatch):
+    # the parent's pool has a worker thread when the child is forked; the
+    # child has no such thread, so it must start its own pool
+    monkeypatch.setattr(measures, "_cores", lambda: 2)
+    build_lift(GammaMixingMeasure(alpha=2.0, beta=1.0), 13)
+    child = multiprocessing.get_context("fork").Process(target=_build_split_lift)
+    child.start()
+    child.join(timeout=30.0)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
 
 
 class TestLiftValidation:

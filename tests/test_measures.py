@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special, stats
 
+from supcbi import measures
 from supcbi.measures import (
     GammaMixingMeasure,
     TemperedStableLevy,
@@ -58,6 +61,45 @@ class TestGammaMixingMeasure:
             pi_quantile(pi, np.array([0.5, 1.5]))
         with pytest.raises(ValueError):
             pi_quantile(pi, np.array([0.5, np.nan]))
+
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_split_quantiles_keep_the_bits_of_one_call(self, monkeypatch, cores):
+        # the lift's levels at m = 12..16 are split over the cores, unevenly
+        # over three; below 4096 levels, and on one core, there is one call
+        split = []
+        executor = measures._executor
+        monkeypatch.setattr(measures, "_cores", lambda: cores)
+        monkeypatch.setattr(measures, "_executor", lambda workers: split.append(workers) or executor(workers))
+        pi = GammaMixingMeasure(alpha=2.329, beta=0.06298)
+        for m in range(17):
+            n = 2**m
+            levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
+            expected = pi.beta * special.gammaincinv(pi.alpha, levels)
+            assert pi_quantile(pi, levels).tobytes() == expected.tobytes()
+        assert split == ([] if cores == 1 else [cores - 1] * 5)
+
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        # more callers than cores race to create the pool and then share it
+        pools = []
+        executor = measures._executor
+        monkeypatch.setattr(measures, "_cores", lambda: 3)
+        monkeypatch.setattr(measures, "_pool", None)
+        monkeypatch.setattr(measures, "_executor", lambda workers: pools.append(executor(workers)) or pools[-1])
+        pi = GammaMixingMeasure(alpha=2.1, beta=0.8)
+        levels = (2.0 * np.arange(1, 8193) - 1.0) / 16384.0
+        expected = (pi.beta * special.gammaincinv(pi.alpha, levels)).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as callers:
+                got = list(callers.map(lambda _: pi_quantile(pi, levels).tobytes(), range(24)))
+        finally:
+            sys.setswitchinterval(interval)
+            if measures._pool is not None:
+                measures._pool.shutdown()
+        assert got == [expected] * 24
+        assert len(pools) == 24 and len({id(pool) for pool in pools}) == 1
 
 
 class TestTemperedStableLevy:
@@ -234,6 +276,17 @@ class TestTemperedStableLevy:
         expected = nu.truncated_moment(1, eps) / nu.tail_mass(eps)
         se = z.std(ddof=1) / math.sqrt(z.size)
         assert abs(z.mean() - expected) < 3.0 * se
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_negative_c1_draws_do_not_depend_on_the_core_count(self, monkeypatch, cores):
+        # 20,000 inverse-CDF draws are split over the cores after one call draws their uniforms
+        monkeypatch.setattr(measures, "_cores", lambda: cores)
+        nu, eps = TemperedStableLevy(c1=-0.6, c2=1.3), 1e-6
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        tail = special.gammaincc(0.6, 1.3 * eps)
+        expected = special.gammainccinv(0.6, (1.0 - ref.uniform(size=20000)) * tail) / 1.3
+        assert nu.sample_truncated(eps, 20000, rng).tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_negative_c1_sampler_rejects_an_underflowing_tail(self):
         nu = TemperedStableLevy(c1=-0.6, c2=1.0)

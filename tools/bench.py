@@ -14,7 +14,9 @@ LONG_PATH_RUNS child processes, which is mostly interpreter start-up and
 imports; and in-process, the median of LONG_PATH_RUNS `cli.main` calls in
 one child after one untimed call. It times `supcbi verify` at its default
 states and draws the same in-process way, as the median of VERIFY_RUNS
-calls. Last it times the tier-1 suite. It
+calls, and `supcbi lift` at its default levels (m = 6..13) as the median of
+LIFT_RUNS calls; perfbench's `lift` calls stop at m = 9. Last it times the
+tier-1 suite. It
 writes their results together with the git revision, the sha256 of
 `git diff --full-index` of src, tests and perfbench against that revision
 (null when the tree matches it), so a record of an uncommitted tree still
@@ -53,6 +55,9 @@ LONG_PATH_RUNS = 3
 # the reference model with verify's defaults: 100 states and 20 draws per lift
 VERIFY_CONFIG = "A = 0.5\nB = 0.3\nc1 = 0.4\nc2 = 1.3\nalpha = 2.1\nbeta = 0.8\n"
 VERIFY_RUNS = 9
+# the reference model's rate measure; `lift` builds m = 6..13, 16320 atoms in all
+LIFT_CONFIG = "alpha = 2.1\nbeta = 0.8\n"
+LIFT_RUNS = 9
 # run in one child: an untimed `cli.main` call, then the timed ones; prints their wall times
 IN_PROCESS = """
 import json, sys, time
@@ -124,13 +129,13 @@ def _in_process(command: list[str], runs: int) -> float:
     return statistics.median(json.loads(done.stdout))
 
 
-def _verify() -> dict:
-    """Median in-process wall time of `supcbi verify` on VERIFY_CONFIG."""
+def _command(name: str, config_text: str, runs: int) -> dict:
+    """Median in-process wall time of `runs` calls of `supcbi <name>` on config_text."""
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "verify.cfg"
-        config.write_text(VERIFY_CONFIG)
-        command = ["verify", "--config", str(config), "--out", tmp, "--quiet"]
-        return {"in_process_s": round(_in_process(command, VERIFY_RUNS), 4)}
+        config = Path(tmp) / f"{name}.cfg"
+        config.write_text(config_text)
+        command = [name, "--config", str(config), "--out", tmp, "--quiet"]
+        return {"in_process_s": round(_in_process(command, runs), 4)}
 
 
 def _tier1() -> dict:
@@ -164,7 +169,8 @@ def record(out: Path) -> None:
     for workload in WORKLOADS:
         report["workloads"][workload] = {mode: _perfbench(workload, trace) for mode, trace in MODES.items()}
     report["long_paths"] = {str(horizon): _long_path(horizon) for horizon in LONG_PATH_HORIZONS}
-    report["verify"] = _verify()
+    report["verify"] = _command("verify", VERIFY_CONFIG, VERIFY_RUNS)
+    report["lift"] = _command("lift", LIFT_CONFIG, LIFT_RUNS)
     report["tier1"] = _tier1()
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     incorrect = [f"{w} {m}" for w, runs in report["workloads"].items() for m, run in runs.items()
@@ -173,7 +179,7 @@ def record(out: Path) -> None:
 
 
 def _metrics(report: dict) -> dict[str, float]:
-    """Every metric of a snapshot, keyed workload/mode/metric, plus tier1/wall_s, the long paths and verify."""
+    """Every metric of a snapshot, keyed workload/mode/metric, plus tier1/wall_s, the long paths, verify and lift."""
     flat = {"tier1/wall_s": report["tier1"]["wall_s"]}
     for workload, runs in report["workloads"].items():
         for mode, run in runs.items():
@@ -182,8 +188,9 @@ def _metrics(report: dict) -> dict[str, float]:
     for horizon, run in report.get("long_paths", {}).items():
         for name, value in run.items():
             flat[f"long_path/{horizon}/{name}"] = value
-    for name, value in report.get("verify", {}).items():
-        flat[f"verify/{name}"] = value
+    for command in ("verify", "lift"):
+        for name, value in report.get(command, {}).items():
+            flat[f"{command}/{name}"] = value
     return flat
 
 
