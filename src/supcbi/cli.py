@@ -308,8 +308,8 @@ def cmd_simulate(args: argparse.Namespace, config: dict[str, str]) -> Result:
         f"samples: {path.y_total.size}",
         f"mean_y: {stats.mean:.17g}",
         f"variance_y: {stats.variance:.17g}",
-        f"skewness_y: {stats.skewness:.17g}",
-        f"kurtosis_y: {stats.kurtosis:.17g}",
+        f"skewness_y: {'undefined' if stats.degenerate else format(stats.skewness, '.17g')}",
+        f"kurtosis_y: {'undefined' if stats.degenerate else format(stats.kurtosis, '.17g')}",
         f"closed_form_mean_y: {stationary_mean(trunc, lift):.17g}",
         f"closed_form_variance_y: {stationary_variance(trunc, lift):.17g}",
         f"truncation_bias: {model.nu.truncation_bias(eps):.17g}",
@@ -319,6 +319,8 @@ def cmd_simulate(args: argparse.Namespace, config: dict[str, str]) -> Result:
         lines.append(f"mean_x: {float(np.mean(x)):.17g}")
         lines.append(f"mean_sq_tracking_error: {float(np.mean((x - controller.xhat) ** 2)):.17g}")
         lines.append(f"mean_sq_control_rate: {float(np.mean(path.c_rate ** 2)):.17g}")
+    if stats.degenerate:
+        lines.append("note: the recorded path is constant, so its skewness and kurtosis are undefined")
     text = "\n".join(lines) + "\n"
     return EXIT_OK, {"path.csv": write_path_csv(path), "stats.txt": text}, text
 

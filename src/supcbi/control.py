@@ -13,10 +13,9 @@ equation's linear terms given a.
 
 The controller is closed form except for one scalar, hbar. Both of its
 roots, the cost root K(h) = Kbar and the variability root P(h) = Pbar, are
-found by one root finder: Brent's method (scipy.optimize.brentq) on a
-doubled bracket. The variability root does not depend on Kbar, so a Kbar
-sweep solves it once, and runs the cost root only for the Kbar at which the
-cost bound binds; `solve` is the same computation for one Kbar.
+found by Brent's method (scipy.optimize.brentq) on a closed-form bracket.
+The variability root does not depend on Kbar: a Kbar sweep solves it once,
+and the cost root only where the cost bound binds; `solve` does one Kbar.
 """
 
 from __future__ import annotations
@@ -162,51 +161,47 @@ def p_bounds(model: SupCbiModel, lift: Spectrum, q: float) -> tuple[float, float
     return _p(model, lift, q, 0.0), _p(model, lift, q, 1.0)
 
 
-def _bracket_root(f, target: float, hi: float) -> float | None:
-    """Root of an increasing f at target, with f(0) <= target: Brent's method on [0, hi].
+def _root(f, target: float, lo: float, hi: float) -> float | None:
+    """Root of an increasing f at target in [lo, hi], f(lo) <= target; None beyond the float range.
 
-    hi is doubled while finite until f(hi) > target; None when no finite hi
-    brackets the root or f(hi) overflows to inf, a root beyond the float range.
-    The absolute tolerance is negligible, so the root is found to _REL_TOL
-    relative however small it is.
+    hi is cut to the float maximum, and is the root when f(hi) <= target, that
+    is when f meets the target there by rounding. Brent's absolute tolerance is
+    negligible, so the root is found to _REL_TOL relative however small it is.
     """
-    while not (value := f(hi)) > target:
-        if (hi := 2.0 * hi) == math.inf:
-            return None
-    if value == math.inf:
+    hi = min(hi, sys.float_info.max)
+    if (f_hi := f(hi)) == math.inf or (f_hi < target and hi == sys.float_info.max):
         return None
-    return optimize.brentq(lambda h: f(h) - target, 0.0, hi, xtol=1e-300, rtol=_REL_TOL)
+    if f_hi <= target:
+        return hi
+    return optimize.brentq(lambda h: f(h) - target, lo, hi, xtol=1e-300, rtol=_REL_TOL)
 
 
 def solve_hbar(model: SupCbiModel, lift: Spectrum, q: float, kbar: float) -> float:
     """Unique positive root of K(h) = kbar for |1 - q| > _REL_TOL, the Balanced rule of `solve`.
 
-    K(h) = (1-q)^2 Var h (h S(h)) is strictly increasing and S <= 1, so the
-    root lies at or above h0 = sqrt(kbar / ((1-q)^2 Var)). Brent's method
-    finds it on [0, hi], with hi doubled from max(h0, 1) until it brackets
-    the root, as for the variability root; K has no h^2 to overflow, so only
-    a root beyond the float range is refused, with a RuntimeError. Since
-    h S <= D / R_n, the root also lies at or above h1 = kbar R_n /
-    ((1-q)^2 Var D), so the doublings of max(h0, 1) below h1 cannot bracket
-    it and are skipped; hi, and so the root, is what the doubling gives.
+    K(h) = (1-q)^2 Var h (h S(h)) is strictly increasing. S <= 1 and h S <=
+    D / R_n put the root at or above h_lo = max(h0, h0^2 R_n / D) with h0 =
+    sqrt(kbar / ((1-q)^2 Var)), formed to overflow only beyond the float range;
+    h S increases with h, so the root is at most h_lo kbar / K(h_lo), and is h_lo
+    when K(h_lo) meets kbar by rounding. K has no h^2 to overflow, so only a
+    root beyond the float range is refused, with a RuntimeError.
     """
     if not q > 0.0 or abs(1.0 - q) <= _REL_TOL:
         raise ValueError(f"root solving needs q > 0 and |1 - q| > {_REL_TOL:g}")
     if not kbar > 0.0:
         raise ValueError("kbar must be positive")
-    scale = (1.0 - q) ** 2 * stationary_variance(model, lift)
-    start = max(math.sqrt(kbar / scale), 1.0)
-    h1 = min(kbar * lift.inv_mean / (scale * model.D), sys.float_info.max)
-    if h1 > start:
-        start *= 2.0 ** math.floor(math.log2(h1 / start))
-    h = _bracket_root(lambda h: eval_K(model, lift, q, h), kbar, start)
+    h0 = math.sqrt(kbar) / math.sqrt((1.0 - q) ** 2 * stationary_variance(model, lift))
+    h_lo = min(max(h0, h0 * (h0 * (lift.inv_mean / model.D))), sys.float_info.max)
+    if (k_lo := eval_K(model, lift, q, h_lo)) >= kbar:
+        return h_lo
+    h = _root(lambda h: eval_K(model, lift, q, h), kbar, h_lo, h_lo * (kbar / k_lo))
     if h is None:
         raise RuntimeError(f"the cost root for kbar = {kbar:.6g} lies beyond the float range")
     return h
 
 
 def solve_pbar_h(model: SupCbiModel, lift: Spectrum, q: float, pbar: float) -> float:
-    """Root of P(h) = pbar; +inf when pbar is at or above the upper bound."""
+    """Root of P(h) = pbar, at most D / (R_n S) where S = 1 - T at the root; +inf from P's upper bound up."""
     lo_bound, hi_bound = p_bounds(model, lift, q)
     if pbar < lo_bound:
         raise InfeasibleProblem(
@@ -214,7 +209,8 @@ def solve_pbar_h(model: SupCbiModel, lift: Spectrum, q: float, pbar: float) -> f
         )
     if pbar >= hi_bound:
         return math.inf
-    h = _bracket_root(lambda h: eval_P(model, lift, q, h), pbar, 1.0)
+    hi = model.D * (1.0 - q) ** 2 * stationary_variance(model, lift) / (lift.inv_mean * (hi_bound - pbar))
+    h = _root(lambda h: eval_P(model, lift, q, h), pbar, 0.0, hi)
     return math.inf if h is None else h
 
 

@@ -68,8 +68,10 @@ class MarkovianLift:
         """(S, T) at h >= 0, two sums that add to 1 but are not formed as one minus the other.
 
         With a_i = r_i D, S = sum w_i a_i / (a_i + h) / R_n (with w_i a_i summed
-        as c_i D) and T = h sum w_i / (a_i + h) / R_n.
+        as c_i D) and T = h sum w_i / (a_i + h) / R_n; (1, 0) exactly at h = 0.
         """
+        if h == 0.0:
+            return 1.0, 0.0
         s, t = (self._cw / (self.r * D + h)).sum(axis=1).tolist()
         return D * s / self.inv_mean, h * t / self.inv_mean
 

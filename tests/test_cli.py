@@ -189,6 +189,19 @@ class TestSolveCommand:
         assert "below the attainable minimum" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tiny_beta_solves_without_warnings(self, tmp_path, capsys):
+        # at beta = 1e-300 the lift's sums at h = 0 overflow; the cost root's
+        # bracket no longer starts there, and a lift returns (S, T) = (1, 0) at h = 0
+        cfg = write_cfg(tmp_path, MODEL_CFG.replace("A = 0.5", "A = 17").replace("beta = 0.8", "beta = 1e-300")
+                        + "m = 2\nQhat = 1\nKbar = 1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"])
+        assert code == EXIT_OK
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        assert "case: WaterAbstracting" in (tmp_path / "solution.txt").read_text()
+
     def test_water_abstracting_output(self, tmp_path):
         cfg = write_cfg(tmp_path, MODEL_CFG + "Qabs = 0.2\nKbar = 0.01\nm = 2\nPbar = 1.0\n")
         assert run(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
@@ -302,6 +315,17 @@ class TestSimulateCommand:
         stats = (tmp_path / "stats.txt").read_text()
         assert "closed_form_mean_y:" in stats
         assert "truncation_bias:" in stats
+
+    def test_constant_path_reports_undefined_shape(self, tmp_path):
+        # at A = 0 no jump arrives and the recorded path is constant: its
+        # skewness and kurtosis are reported undefined, with a note, not as NaN
+        cfg = write_cfg(tmp_path, MODEL_CFG.replace("A = 0.5", "A = 0").replace("B = 0.3", "B = 0")
+                        + "m = 2\nhorizon = 50\ndt = 1\neps = 0.01\n")
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        lines = (tmp_path / "stats.txt").read_text().splitlines()
+        assert "skewness_y: undefined" in lines and "kurtosis_y: undefined" in lines
+        assert lines[-1].startswith("note: the recorded path is constant")
+        assert not any("nan" in line for line in lines)
 
     def test_controlled_run(self, tmp_path):
         cfg = write_cfg(tmp_path, self.CFG + "rho = 1.0\nu = -0.5\nxhat = 0.5\n")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -39,6 +40,19 @@ def make_model(A=0.5, B=0.3, alpha=2.1, beta=0.8, c1=0.4, c2=1.3, baseflow=0.0):
         A=A, B=B, pi=GammaMixingMeasure(alpha=alpha, beta=beta),
         nu=TemperedStableLevy(c1=c1, c2=c2), baseflow=baseflow,
     )
+
+
+def reference_root(f, target):
+    """Root of an increasing f at target by bisection to the last bit: the least h found with f(h) >= target."""
+    lo, hi = 0.0, 1.0
+    while f(hi) < target:
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +105,20 @@ class TestEvaluators:
         for h in (0.3, 2.0):
             assert eval_J(model, lift, 1.0, h) == pytest.approx(var, rel=1e-13)
             assert eval_K(model, lift, 1.0, h) == 0.0
+
+    @pytest.mark.parametrize("beta", [0.8, 1e-300])
+    def test_h_zero_identities_are_exact_on_both_spectra(self, beta):
+        # J(q, 0) = Var, K(q, 0) = 0 and P(q, 0) = (q-1)^2 E^2 exactly; at
+        # beta = 1e-300 the lift's sums at h = 0 overflowed with a
+        # RuntimeWarning, and E^2 (so P) lies beyond the float range
+        model = make_model(A=17.0, beta=beta)
+        for spectrum in (build_lift(model.pi, 2), GammaContinuum(model.pi)):
+            var, mean = stationary_variance(model, spectrum), stationary_mean(model, spectrum)
+            for q in (0.4, 1.7):
+                assert eval_J(model, spectrum, q, 0.0) == var
+                assert eval_K(model, spectrum, q, 0.0) == 0.0
+                if beta == 0.8:
+                    assert eval_P(model, spectrum, q, 0.0) == (q - 1.0) ** 2 * mean**2
 
     def test_j_bounds(self, model_lift):
         model, lift = model_lift
@@ -208,18 +236,8 @@ class TestSolvers:
     def test_cost_root_matches_reference_bisection(self, model_lift):
         model, lift = model_lift
         q, kbar = 0.4, 0.3
-        h_lo, h_hi = 0.0, 1.0
-        while eval_K(model, lift, q, h_hi) < kbar:
-            h_hi *= 2.0
-        while True:  # reference bisection to the last bit
-            mid = 0.5 * (h_lo + h_hi)
-            if mid in (h_lo, h_hi):
-                break
-            if eval_K(model, lift, q, mid) < kbar:
-                h_lo = mid
-            else:
-                h_hi = mid
-        assert solve_hbar(model, lift, q, kbar) == pytest.approx(h_hi, rel=1e-11, abs=0.0)
+        h = reference_root(lambda h: eval_K(model, lift, q, h), kbar)
+        assert solve_hbar(model, lift, q, kbar) == pytest.approx(h, rel=1e-11, abs=0.0)
 
     def test_pbar_root(self, model_lift):
         model, lift = model_lift
@@ -241,17 +259,80 @@ class TestSolvers:
         q = 0.6
         lo, hi = p_bounds(model, lift, q)
         pbar = lo + 1e-9 * (hi - lo)
-        h_lo, h_hi = 0.0, 1.0
-        while True:  # reference bisection to the last bit
-            mid = 0.5 * (h_lo + h_hi)
-            if mid in (h_lo, h_hi):
-                break
-            if eval_P(model, lift, q, mid) < pbar:
-                h_lo = mid
-            else:
-                h_hi = mid
-        assert h_hi < 1e-9
-        assert solve_pbar_h(model, lift, q, pbar) == pytest.approx(h_hi, rel=1e-11, abs=0.0)
+        h = reference_root(lambda h: eval_P(model, lift, q, h), pbar)
+        assert h < 1e-9
+        assert solve_pbar_h(model, lift, q, pbar) == pytest.approx(h, rel=1e-11, abs=0.0)
+
+    @seed(26)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        alpha=st.floats(1.05, 6.0),
+        beta=st.floats(1e-3, 10.0),
+        c1=st.floats(-0.9, 0.95),
+        c2=st.floats(0.01, 10.0),
+        a=st.floats(1e-3, 10.0),
+        excitation=st.floats(0.0, 0.95),
+        m=st.one_of(st.none(), st.integers(0, 10)),
+        q=st.floats(0.01, 0.99),
+        log_kbar=st.floats(-12.0, 12.0),
+        frac=st.floats(1e-6, 1.0 - 1e-6),
+    )
+    def test_roots_lie_in_their_closed_form_brackets(
+        self, alpha, beta, c1, c2, a, excitation, m, q, log_kbar, frac
+    ):
+        # on a lift (m) or the continuum (m = None): each root lies in the
+        # bracket its solver derives from S <= 1, h S <= D / R_n and S + T = 1,
+        # and equals a last-bit bisection; a cost root takes at most 16 K
+        # evaluations. P is flat where E[Y_n]^2 dominates it, and the two
+        # variability roots are compared in P's own scale: their relative
+        # distance times d log P / d log h
+        nu = TemperedStableLevy(c1=c1, c2=c2)
+        model = SupCbiModel(
+            A=a, B=excitation / levy_moment(nu, 1),
+            pi=GammaMixingMeasure(alpha=alpha, beta=beta), nu=nu,
+        )
+        spectrum = GammaContinuum(model.pi) if m is None else build_lift(model.pi, m)
+        var, mean = stationary_variance(model, spectrum), stationary_mean(model, spectrum)
+        tol = 1e-12
+
+        def k(h):
+            return eval_K(model, spectrum, q, h)
+
+        kbar = 10.0**log_kbar
+        scale = (1.0 - q) ** 2 * var
+        h_lo = max(math.sqrt(kbar / scale), kbar * spectrum.inv_mean / (scale * model.D))
+        h_hi = h_lo * kbar / k(h_lo)
+        assert k(h_lo) <= kbar * (1.0 + tol) and k(h_hi) >= kbar * (1.0 - tol)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(control, "eval_K", lambda *args: calls.append(args) or eval_K(*args))
+            hbar = solve_hbar(model, spectrum, q, kbar)
+        assert len(calls) <= 16
+        assert hbar == pytest.approx(reference_root(k, kbar), rel=1e-11, abs=0.0)
+
+        def p(h):
+            return eval_P(model, spectrum, q, h)
+
+        lo, hi = p_bounds(model, spectrum, q)
+        pbar = lo + frac * (hi - lo)
+        t = (pbar / (1.0 - q) ** 2 - mean**2) / var
+        assert p(0.0) == lo <= pbar <= p(model.D / (spectrum.inv_mean * (1.0 - t))) * (1.0 + tol)
+        h, ref = solve_pbar_h(model, spectrum, q, pbar), reference_root(p, pbar)
+        slope = (p(ref * (1.0 + 1e-4)) - p(ref * (1.0 - 1e-4))) / (2e-4 * pbar)
+        assert abs(h / ref - 1.0) * slope <= 1e-11
+
+    def test_cost_root_near_the_float_maximum(self, model_lift):
+        # K/h tends to 0.067 at q = 1 - 0.5 / E[Y_n], so the root for
+        # Kbar = 1e307 lies near 1.5e308, below the float maximum: found,
+        # where doubling a bracket from below met the float range first
+        model, lift = model_lift
+        problem = ControlProblem(model=model, lift=lift, kbar=1e307, qabs=0.5)
+        sol = solve(problem)
+        assert sol.active_constraint == "cost" and 1e308 < sol.hbar < sys.float_info.max
+        assert abs(eval_K(model, lift, sol.q, sol.hbar) / 1e307 - 1.0) <= 1e-12
+        assert sol.hbar == solve_hbar(model, lift, sol.q, 1e307)
+        with pytest.raises(RuntimeError, match="float range"):
+            solve(replace(problem, kbar=1e308))
 
     def test_balanced_case(self, model_lift):
         model, lift = model_lift
@@ -490,7 +571,7 @@ class TestSweep:
             assert sweep(problem, [kbar])[0].solution == sol
 
     def test_cost_root_up_to_the_float_range_and_refused_beyond(self, model_lift):
-        # doubling hi stops only at the float range, and K is formed without
+        # the bracket is cut only at the float range, and K is formed without
         # h^2, so every cost root below the float range is found: K/h -> 0.038
         # puts the root for kbar = 1e300 near h = 2.6e301; the root for
         # kbar = 1e308 lies near 2.6e309, beyond it, and is refused
@@ -511,13 +592,14 @@ class TestSweep:
         assert [row.solution.active_constraint for row in rows[:2]] == ["cost", "cost"]
         assert rows[2].solution is None and "float range" in rows[2].error
 
-    @pytest.mark.parametrize("kbar, most", [(1.0, 10), (1e3, 10), (1e150, 10), (1e300, 50)])
-    def test_cost_root_bracket_skips_the_doublings_below_the_linear_bound(self, model_lift, kbar, most):
+    @pytest.mark.parametrize("kbar, most", [(1e-300, 10), (1.0, 10), (1e3, 10), (1e150, 10), (1e300, 50)])
+    def test_cost_root_in_the_closed_form_bracket_is_cheap(self, model_lift, kbar, most):
         # h S <= D / R_n, so K(h) <= (1-q)^2 Var (D / R_n) h and the root lies
-        # at or above kbar R_n / ((1-q)^2 Var D): doubling all the way from
+        # at or above kbar R_n / ((1-q)^2 Var D): a bracket doubled from
         # sqrt(kbar / ((1-q)^2 Var)) took 257 K evaluations at kbar = 1e150 and
-        # 544 at 1e300. Skipping the doublings below the bound leaves the
-        # bracket, and so the root, as they were
+        # 544 at 1e300, where the closed-form bracket takes a few. Brent's
+        # method on [0, hi] did not reach the root near 4e-150 for kbar =
+        # 1e-300 in its 100 iterations
         model, lift = model_lift
         q = 0.6
         scale = (1.0 - q) ** 2 * stationary_variance(model, lift)
@@ -525,8 +607,7 @@ class TestSweep:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(control, "eval_K", lambda *args: calls.append(args) or eval_K(*args))
             h = solve_hbar(model, lift, q, kbar)
-        plain = control._bracket_root(lambda h: eval_K(model, lift, q, h), kbar, max(math.sqrt(kbar / scale), 1.0))
-        assert h == plain and h >= kbar * lift.inv_mean / (scale * model.D)
+        assert h >= kbar * lift.inv_mean / (scale * model.D)
         assert len(calls) <= most
         assert abs(eval_K(model, lift, q, h) / kbar - 1.0) <= 1e-12
 

@@ -153,7 +153,7 @@ class TestResolvent:
         assert 0.0 <= s <= 1.0 + 4e-15 and 0.0 <= t <= 1.0 + 4e-15
         assert s + t == pytest.approx(1.0, rel=4e-15)
         if h == 0.0:
-            assert t == 0.0
+            assert (s, t) == (1.0, 0.0)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
