@@ -147,8 +147,16 @@ def eval_K(model: SupCbiModel, lift: Spectrum, q: float, h: float) -> float:
 
 
 def _p(model: SupCbiModel, lift: Spectrum, q: float, t: float) -> float:
-    """P = (q-1)^2 (E[Y_n]^2 + Var[Y_n] T) at a resolvent half T in [0, 1]."""
-    return (q - 1.0) ** 2 * (stationary_mean(model, lift) ** 2 + stationary_variance(model, lift) * t)
+    """P = (q-1)^2 (E[Y_n]^2 + Var[Y_n] T) at a resolvent half T in [0, 1].
+
+    An E[Y_n]^2 beyond the float range raises an ArithmeticError.
+    """
+    mean = stationary_mean(model, lift)
+    try:
+        mean_sq = mean**2
+    except OverflowError:
+        raise ArithmeticError(f"P needs E[Y_n]^2, which overflows at E[Y_n] = {mean:.6g}") from None
+    return (q - 1.0) ** 2 * (mean_sq + stationary_variance(model, lift) * t)
 
 
 def eval_P(model: SupCbiModel, lift: Spectrum, q: float, h: float) -> float:
@@ -184,13 +192,17 @@ def solve_hbar(model: SupCbiModel, lift: Spectrum, q: float, kbar: float) -> flo
     sqrt(kbar / ((1-q)^2 Var)), formed to overflow only beyond the float range;
     h S increases with h, so the root is at most h_lo kbar / K(h_lo), and is h_lo
     when K(h_lo) meets kbar by rounding. K has no h^2 to overflow, so only a
-    root beyond the float range is refused, with a RuntimeError.
+    root beyond the float range is refused, with a RuntimeError. A model with
+    Var[Y_n] = 0 has K = 0 at every h and is refused with a ValueError.
     """
     if not q > 0.0 or abs(1.0 - q) <= _REL_TOL:
         raise ValueError(f"root solving needs q > 0 and |1 - q| > {_REL_TOL:g}")
     if not kbar > 0.0:
         raise ValueError("kbar must be positive")
-    h0 = math.sqrt(kbar) / math.sqrt((1.0 - q) ** 2 * stationary_variance(model, lift))
+    variance = stationary_variance(model, lift)
+    if variance == 0.0:
+        raise ValueError("Var[Y_n] = 0: the inflow does not vary, so K(h) = 0 at every h and no cost root exists")
+    h0 = math.sqrt(kbar) / math.sqrt((1.0 - q) ** 2 * variance)
     h_lo = min(max(h0, h0 * (h0 * (lift.inv_mean / model.D))), sys.float_info.max)
     if (k_lo := eval_K(model, lift, q, h_lo)) >= kbar:
         return h_lo

@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._csvfloat import format_rows
 from .lift import MarkovianLift, Spectrum
 from .measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
 
@@ -393,11 +394,10 @@ def path_stats(path, max_lag: int = 50) -> PathStats:
 
 
 def write_path_csv(path: SimulatedPath) -> str:
-    """Returns the CSV text of the path, fixed column order; x and c_rate empty when uncontrolled."""
+    """Returns the CSV text of the path, fixed column order; x and c_rate empty when uncontrolled.
+
+    Every number is written as '%.17g' writes it.
+    """
     if path.x is None:
-        row, columns = "%.17g,%.17g,,\n", (path.t, path.y_total)
-    else:
-        row, columns = "%.17g,%.17g,%.17g,%.17g\n", (path.t, path.y_total, path.x, path.c_rate)
-    # one % operation over the row-major values formats the whole path
-    values = np.column_stack(columns).ravel().tolist()
-    return "t,y_total,x,c_rate\n" + (row * path.t.size) % tuple(values)
+        return "t,y_total,x,c_rate\n" + format_rows((path.t, path.y_total), end=",,\n")
+    return "t,y_total,x,c_rate\n" + format_rows((path.t, path.y_total, path.x, path.c_rate))

@@ -202,6 +202,25 @@ class TestSolveCommand:
         assert capsys.readouterr().err == ""
         assert "case: WaterAbstracting" in (tmp_path / "solution.txt").read_text()
 
+    def test_model_without_inflow_variance_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MODEL_CFG.replace("A = 0.5", "A = 0").replace("B = 0.3", "B = 0")
+                        .replace("baseflow = 0.0", "baseflow = 1") + "m = 2\nQabs = 0.5\nKbar = 1\n")
+        out = tmp_path / "out"
+        assert run(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert "Var[Y_n] = 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_p_names_its_mean(self, tmp_path, capsys):
+        # the tiny-beta model above with a variability bound: E[Y_n] = 2.6e301
+        cfg = write_cfg(tmp_path, MODEL_CFG.replace("A = 0.5", "A = 17").replace("beta = 0.8", "beta = 1e-300")
+                        + "m = 2\nQhat = 1\nKbar = 1\nPbar = 1\n")
+        out = tmp_path / "out"
+        assert run(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: P needs E[Y_n]^2, which overflows at E[Y_n] = 2.56618e+301\n"
+        )
+        assert not out.exists()
+
     def test_water_abstracting_output(self, tmp_path):
         cfg = write_cfg(tmp_path, MODEL_CFG + "Qabs = 0.2\nKbar = 0.01\nm = 2\nPbar = 1.0\n")
         assert run(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK

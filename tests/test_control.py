@@ -119,6 +119,9 @@ class TestEvaluators:
                 assert eval_K(model, spectrum, q, 0.0) == 0.0
                 if beta == 0.8:
                     assert eval_P(model, spectrum, q, 0.0) == (q - 1.0) ** 2 * mean**2
+                else:
+                    with pytest.raises(ArithmeticError, match=r"P needs E\[Y_n\]\^2, which overflows"):
+                        eval_P(model, spectrum, q, 0.0)
 
     def test_j_bounds(self, model_lift):
         model, lift = model_lift
@@ -333,6 +336,17 @@ class TestSolvers:
         assert sol.hbar == solve_hbar(model, lift, sol.q, 1e307)
         with pytest.raises(RuntimeError, match="float range"):
             solve(replace(problem, kbar=1e308))
+
+    def test_cost_root_without_inflow_variance_is_refused(self):
+        # with A = 0 the inflow is the constant baseflow: K(h) = 0 at every h,
+        # so no h meets Kbar, and solve_hbar divided by Var[Y_n] = 0
+        model = make_model(A=0.0, B=0.0, baseflow=1.0)
+        lift = build_lift(model.pi, 2)
+        assert stationary_variance(model, lift) == 0.0
+        with pytest.raises(ValueError, match=r"Var\[Y_n\] = 0"):
+            solve_hbar(model, lift, 0.5, 1.0)
+        rows = sweep(ControlProblem(model=model, lift=lift, kbar=1.0, qabs=0.5), [0.1, 1.0])
+        assert all(row.solution is None and "Var[Y_n] = 0" in row.error for row in rows)
 
     def test_balanced_case(self, model_lift):
         model, lift = model_lift

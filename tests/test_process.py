@@ -4,11 +4,11 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate, stats as sps
 
-from supcbi import process
+from supcbi import _csvfloat, process
 from supcbi.control import ControlProblem, solve
 from supcbi.lift import GammaContinuum, MarkovianLift, build_lift
 from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
@@ -611,17 +611,68 @@ class TestPathStats:
         if controlled:
             p.x[-len(special):] = special
             p.c_rate[1 : len(special) + 1] = special
-        t, y = p.t.tolist(), p.y_total.tolist()
-        # reference: one f-string per row
-        if p.x is None:
-            rows = [f"{tk:.17g},{yk:.17g},,\n" for tk, yk in zip(t, y)]
-        else:
-            rows = [
-                f"{tk:.17g},{yk:.17g},{xk:.17g},{ck:.17g}\n"
-                for tk, yk, xk, ck in zip(t, y, p.x.tolist(), p.c_rate.tolist())
-            ]
         text = write_path_csv(p)
-        assert text == "t,y_total,x,c_rate\n" + "".join(rows)
+        assert text == row_by_row_csv(p)
         assert "-0," in text and "4.9406564584124654e-324" in text
         empty = SimulatedPath(t=p.t[:0], y_total=p.y_total[:0], x=None, c_rate=None)
         assert write_path_csv(empty) == "t,y_total,x,c_rate\n"
+
+    def test_csv_spanning_blocks_matches_row_by_row_formatting(self):
+        # the formatter works in blocks of _BLOCK_VALUES values: this path spans
+        # several, and its control rate takes both signs
+        model = small_model()
+        lift = build_lift(model.pi, 1)
+        ctrl = Controller(rho=0.8, u=-0.3, xhat=0.5)
+        p = simulate(model, lift, horizon=1200.0, dt=0.5, eps=1e-2, seed=4, controller=ctrl)
+        assert p.t.size * 4 > 2 * _csvfloat._BLOCK_VALUES
+        assert p.c_rate.min() < 0.0 < p.c_rate.max()
+        assert write_path_csv(p) == row_by_row_csv(p)
+
+
+def row_by_row_csv(p):
+    """The path CSV written with one f-string per row."""
+    t, y = p.t.tolist(), p.y_total.tolist()
+    if p.x is None:
+        rows = [f"{tk:.17g},{yk:.17g},,\n" for tk, yk in zip(t, y)]
+    else:
+        rows = [
+            f"{tk:.17g},{yk:.17g},{xk:.17g},{ck:.17g}\n"
+            for tk, yk, xk, ck in zip(t, y, p.x.tolist(), p.c_rate.tolist())
+        ]
+    return "t,y_total,x,c_rate\n" + "".join(rows)
+
+
+def with_power_of_ten_examples(test):
+    """An @example at each power of ten 1e-5..1e16 and at the doubles one ulp either side."""
+    for k in range(-5, 17):
+        for x in (np.nextafter(10.0**k, 0.0), 10.0**k, np.nextafter(10.0**k, np.inf)):
+            test = example(float(x))(test)
+    return test
+
+
+class TestFormatRows:
+    # 18 significant digits ending in 5: '%.17g' rounds each half to even,
+    # to ...062 and ...188
+    TIES = (12345678901234.0625, 12345678901234.1875)
+
+    @with_power_of_ten_examples
+    @example(1e-4)
+    @example(1e15)
+    @example(0.99999999999999999)
+    @example(TIES[0])
+    @example(-TIES[1])
+    @example(-0.0)
+    @example(5e-324)
+    @example(math.nan)
+    @example(-math.inf)
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    def test_value_matches_percent_17g(self, x):
+        assert _csvfloat.format_rows([np.array([x])]) == "%.17g\n" % x
+
+    @given(arrays(np.float64, st.tuples(st.integers(0, 40), st.just(3))))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_rows_match_percent_17g(self, values):
+        # values the kernel formats and values Python formats, mixed in one block
+        expected = "".join("%.17g,%.17g,%.17g,,\n" % tuple(row) for row in values.tolist())
+        assert _csvfloat.format_rows(values.T, end=",,\n") == expected
