@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .lift import MarkovianLift, Spectrum
 from .process import SupCbiModel, stationary_mean, stationary_variance
@@ -176,6 +175,7 @@ def _root(f, target: float, lo: float, hi: float) -> float | None:
     is when f meets the target there by rounding. Brent's absolute tolerance is
     negligible, so the root is found to _REL_TOL relative however small it is.
     """
+    from scipy import optimize  # here, not at import: it loads scipy.linalg, which `lift` never needs
     hi = min(hi, sys.float_info.max)
     if (f_hi := f(hi)) == math.inf or (f_hi < target and hi == sys.float_info.max):
         return None
@@ -237,6 +237,8 @@ def _kbar_solver(problem: ControlProblem) -> Callable[[float], ControlSolution]:
     root and keeps the smaller of the two roots.
     """
     model, lift, pbar = problem.model, problem.lift, problem.pbar
+    if not math.isfinite(stationary_mean(model, lift) + stationary_variance(model, lift)):
+        raise ArithmeticError("E[Y_n] or Var[Y_n] overflows the float range")
     q = q_from_target(model, lift, qhat=problem.qhat, qabs=problem.qabs)
     balanced = abs(1.0 - q) <= _REL_TOL
     if balanced or q > 1.0:

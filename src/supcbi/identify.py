@@ -22,7 +22,6 @@ from datetime import datetime, timezone
 from typing import IO
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .lift import GammaContinuum, Spectrum
 from .measures import GammaMixingMeasure, TemperedStableLevy
@@ -134,6 +133,7 @@ def fit_acf(acf: np.ndarray, d: float, dt: float = 1.0) -> AcfFit:
     positive. Only the product D*beta is identifiable from the ACF; beta is
     reported for the supplied D.
     """
+    from scipy.optimize import least_squares
     acf = np.asarray(acf, dtype=float)
     if acf.size < 3 or abs(acf[0] - 1.0) > 1e-12:
         raise ValueError("need acf values starting at lag 0 with acf[0] = 1")
@@ -300,6 +300,7 @@ def fit_moments(
     (c1, c2, A, baseflow) with random restarts; B = (1 - D)/M1 throughout, so
     the fitted model is always stationary.
     """
+    from scipy.optimize import minimize
     if mode not in ("analytic", "full"):
         raise ValueError(f"mode must be 'analytic' or 'full', got {mode}")
     if not 0.0 < d < 1.0:

@@ -5,9 +5,9 @@ reversion rates; its quantiles are beta times the inverse regularized lower
 incomplete gamma function (scipy.special.gammaincinv). The tempered stable
 measure nu(dz) = exp(-c2 z) z^(-(1+c1)) dz drives the jumps; its moments have
 the closed form M_k = Gamma(k - c1) * c2^(c1 - k), and its tails above a
-truncation level follow from the upper incomplete gamma function Gamma(-c, x).
-Where scipy's functions would cancel or overflow, one integral evaluates it,
-`_scaled_upper_gamma`, for the tail mass and for `lift.GammaContinuum`.
+truncation level follow from the upper incomplete gamma function Gamma(-c, x):
+scipy's regularized form for c1 <= -1e-2, and one integral for c1 > -1e-2,
+`_scaled_upper_gamma`, which `lift.GammaContinuum` uses too.
 The inverse incomplete gamma functions cost microseconds a value, so a large
 array of them is split over the process's cores by `_split_ufunc`; the
 values are the same bits on any number of cores.
@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 
 __all__ = [
@@ -67,7 +66,8 @@ def pi_quantile(pi: GammaMixingMeasure, p: float | np.ndarray) -> float | np.nda
     probs = np.asarray(p, dtype=float)
     if not np.all((probs >= 0.0) & (probs <= 1.0)):
         raise ValueError(f"probability must lie in [0, 1], got {p}")
-    theta = pi.beta * _split_ufunc(gammaincinv, pi.alpha, probs)
+    with np.errstate(over="ignore"):  # an overflowing rate is inf, which `MarkovianLift` refuses
+        theta = pi.beta * _split_ufunc(gammaincinv, pi.alpha, probs)
     return float(theta) if theta.ndim == 0 else theta
 
 
@@ -112,15 +112,9 @@ class TemperedStableLevy:
             raise ValueError("tail mass requires a positive truncation level")
         c1, c2 = self.c1, self.c2
         x = c2 * eps
-        if c1 >= 1e-2 and x <= 1.0:
-            # Gamma(-c1, x) via the recurrence lifting the parameter above zero. It
-            # cancels as x / c1 grows (2e-13 relative error at c1 = 1e-2, x = 1;
-            # 1e-3 at c1 = 1e-12), so it serves only here.
-            upper = float(gammaincc(1.0 - c1, x)) * math.gamma(1.0 - c1)
-            return c2**c1 * (x**-c1 * math.exp(-x) - upper) / c1
         if c1 <= -1e-2:
             return c2**c1 * math.gamma(-c1) * float(gammaincc(-c1, x))
-        # |c1| < 1e-2 (c1 = 0 included), or a far tail
+        # gamma(-c1) overflows near c1 = 0, and scipy has no Q(-c1, x) for c1 >= 0: one integral
         return c2**c1 * x**-c1 * math.exp(-x) * _scaled_upper_gamma(c1, x)
 
     def sample_truncated(self, eps: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -130,7 +124,9 @@ class TemperedStableLevy:
         more often: a Pareto proposal with exponential tempering when
         c1 > c2 * eps, and otherwise a shifted exponential accepted with
         probability (eps / z)^(1 + c1). For small c1 and c2 eps they accept
-        at about c1 log(1 / (c2 eps)) and c2 eps log(1 / (c2 eps)). For c1 < 0 the
+        at about c1 log(1 / (c2 eps)) and c2 eps log(1 / (c2 eps)); where that
+        is below 1e-2 (as at c1 = 0 and c2 eps = 1e-12, 3.5e-11), the draws come
+        from `_envelope_draws`, which accepts at least 1/e. For c1 < 0 the
         law is a Gamma(-c1, 1/c2) conditioned on z >= eps, drawn by inverse
         CDF: with S(z) = gammaincc(-c1, c2 z), z solves S(z) = U S(eps) for U
         uniform on (0, 1], which takes no loop however far eps is in the tail.
@@ -146,7 +142,11 @@ class TemperedStableLevy:
                     "lower the truncation level"
                 )
             return _split_ufunc(gammainccinv, -c1, (1.0 - rng.uniform(size=size)) * tail) / c2
-        pareto = c1 > c2 * eps
+        x0 = c2 * eps
+        # both proposals below accept at most max(c1, x0) e^x0 E1(x0) < max(c1, x0) log1p(1 / x0)
+        if x0 > 0.0 and max(c1, x0) * (math.log1p(x0) - math.log(x0)) < 1e-2:
+            return _envelope_draws(c1, x0, size, rng) / c2
+        pareto = c1 > x0
         out = np.empty(size)
         filled = 0
         # a Pareto z that overflows to inf (or a uniform of 0) is rejected: exp(-inf) = 0
@@ -170,6 +170,34 @@ class TemperedStableLevy:
         return out
 
 
+def _envelope_draws(c1: float, x0: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draws of x from the density x^(-1-c1) e^-x on [x0, inf), for 0 <= c1 < 1 and 0 < x0 < 1.
+
+    Exact rejection from the envelope e^-x0 x^(-1-c1) on [x0, 1) and e^-x on
+    [1, inf), each piece drawn by inverse CDF: with t = log(1 / x0),
+    x^-c1 = x0^-c1 (1 - v (1 - x0^c1)) below 1 (x = x0^(1-v), log-uniform, as
+    c1 t -> 0) and x = 1 + Exp(1) above. The envelope holds less than e times
+    the density's mass, so a round accepts at least 1/e of its draws.
+    """
+    t = -math.log(x0)
+    tiny = c1 * t < 1e-16  # then the c1 -> 0 forms are exact to rounding
+    low = math.exp(-x0) * (t if tiny else math.expm1(c1 * t) / c1)  # the envelope's mass below 1
+    p_low = low / (low + math.exp(-1.0))
+    out = np.empty(size)
+    filled = 0
+    while filled < size:
+        batch = max(2 * (size - filled), 64)
+        piece, v, u = rng.uniform(size=(3, batch))
+        below = piece < p_low
+        log_x = -t * (1.0 - v) if tiny else -t - np.log1p(v * math.expm1(-c1 * t)) / c1
+        x = np.where(below, np.exp(log_x), 1.0 - np.log1p(-v))
+        x = x[u < np.where(below, np.exp(x0 - x), np.maximum(x, 1.0) ** (-1.0 - c1))]
+        take = min(x.size, size - filled)
+        out[filled : filled + take] = x[:take]
+        filled += take
+    return out
+
+
 def levy_moment(nu: TemperedStableLevy, k: int) -> float:
     """k-th moment M_k = Gamma(k - c1) * c2^(c1 - k) of the Levy measure, integer k >= 1."""
     _check_moment_order(k)
@@ -188,6 +216,7 @@ def _scaled_upper_gamma(c: float, x: float) -> float:
     u = (1 + x) v, whose interval is 34 wide at x = 1e-12, 13 at x = 1 and
     tends to 750 as x grows.
     """
+    from scipy import integrate  # here, not at import: `lift` and `solve` never call it
     s = 1.0 + x
     return integrate.quad(
         lambda u: math.exp(-c * u / s - x * math.expm1(u / s)),

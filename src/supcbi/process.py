@@ -143,7 +143,8 @@ def grid_mean_variance(model: SupCbiModel, lift: MarkovianLift, n: int, dt: floa
     """
     if n < 1 or dt <= 0.0:
         raise ValueError("need n >= 1 samples and dt > 0")
-    x = lift.r * model.D * dt
+    with np.errstate(over="ignore"):  # r_i D dt = inf gives rho_i = 0, independent samples
+        x = lift.r * model.D * dt
     rho = np.exp(-x)
     one_minus_rho = -np.expm1(-x)
     v = 0.5 * model.A * model.M2 / model.D**2 * lift.c / lift.r
@@ -321,19 +322,20 @@ def simulate(
     starts = [*np.flatnonzero(np.diff(batch, prepend=-1.0)).tolist(), lift.n]
     for a, b in zip(starts, starts[1:]):
         events = _component_events(model, lift.c[a:b], lift.r[a:b], nubar, eps, grid[-1], rng)
-        for r_i, (times, sizes) in zip(lift.r[a:b], events):
-            bins = np.minimum((np.floor(times / dt)).astype(int) + 1, steps - 1)
-            # contribution of each jump to the component value at the end of its bin
-            w = sizes * np.exp(-r_i * (bins * dt - times))
-            yi = _decay_scan(np.bincount(bins, weights=w, minlength=steps), math.exp(-r_i * dt))
-            y_total += yi
-            if controller is not None:
-                # integral of exp(-h*(t_k - s)) Y_i(s) ds over each step, exact
-                g = sizes * _exp_diff(r_i, h, bins * dt - times)
-                gb = np.bincount(bins, weights=g, minlength=steps)
-                step_w = _exp_diff(r_i, h, dt)
-                # forcing from the state at the step start plus within-step jumps
-                z_forcing[1:] += yi[:-1] * step_w + gb[1:]
+        with np.errstate(over="ignore"):  # r_i times a lag may overflow to inf: its decay is 0
+            for r_i, (times, sizes) in zip(lift.r[a:b], events):
+                bins = np.minimum((np.floor(times / dt)).astype(int) + 1, steps - 1)
+                # contribution of each jump to the component value at the end of its bin
+                w = sizes * np.exp(-r_i * (bins * dt - times))
+                yi = _decay_scan(np.bincount(bins, weights=w, minlength=steps), math.exp(-r_i * dt))
+                y_total += yi
+                if controller is not None:
+                    # integral of exp(-h*(t_k - s)) Y_i(s) ds over each step, exact
+                    g = sizes * _exp_diff(r_i, h, bins * dt - times)
+                    gb = np.bincount(bins, weights=g, minlength=steps)
+                    step_w = _exp_diff(r_i, h, dt)
+                    # forcing from the state at the step start plus within-step jumps
+                    z_forcing[1:] += yi[:-1] * step_w + gb[1:]
 
     x = c_rate = None
     if controller is not None:

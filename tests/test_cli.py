@@ -1,12 +1,17 @@
+import contextlib
+import io
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from supcbi import control
 from supcbi.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK, main
@@ -230,13 +235,25 @@ class TestSolveCommand:
 
 
 class TestSweepCommand:
-    def test_single_site(self, tmp_path):
-        cfg = write_cfg(tmp_path, MODEL_CFG + "Qabs = 0.2\nKbar_grid = 0.001,0.01,0.1\nm = 2\n")
+    @pytest.mark.parametrize(
+        "text, active",
+        [
+            (MODEL_CFG + "Qabs = 0.2\nKbar_grid = 0.001,0.01,0.1\nm = 2\n", [""] * 3),
+            # a station's model, whose variability bound binds on the last three rows
+            ("A = 0.02391\nB = 0.03637\nc1 = 0.772\nc2 = 0.004434\nalpha = 2.329\nbeta = 0.06298\n"
+             "baseflow = 1.174\nm = 3\nQabs = 2.0\nPbar = 10.0\nKbar_grid = 0.0001,0.001,0.01,0.1,1\n",
+             ["cost"] * 2 + ["variability"] * 3),
+        ],
+        ids=["no-pbar", "pbar-binds"],
+    )
+    def test_single_site(self, tmp_path, text, active):
+        cfg = write_cfg(tmp_path, text)
         assert run(["sweep", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "Kbar,hbar,rho,u,J,K,P,active_constraint"
         js = [float(line.split(",")[4]) for line in lines[1:]]
         assert js == sorted(js, reverse=True)
+        assert [line.split(",")[7] for line in lines[1:]] == active
 
     @pytest.mark.parametrize("grid", ["0.01,nan", "inf", "0.01,-1"])
     def test_bad_grid_rejected(self, tmp_path, grid):
@@ -326,12 +343,25 @@ class TestSimulateCommand:
         "baseflow = 0.0\nm = 1\nhorizon = 60\ndt = 1.0\neps = 0.01\nseed = 5\n"
     )
 
-    def test_outputs(self, tmp_path):
-        cfg = write_cfg(tmp_path, self.CFG)
+    @pytest.mark.parametrize(
+        "text, samples",
+        [
+            (CFG, 60),
+            # B > 0 on an 8-component lift
+            ("A = 0.5\nB = 0.3\nc1 = 0.4\nc2 = 1.3\nalpha = 2.1\nbeta = 0.8\n"
+             "m = 3\nhorizon = 200\ndt = 0.5\neps = 0.001\nseed = 7\n", 400),
+        ],
+        ids=["B-zero", "B-positive"],
+    )
+    def test_outputs(self, tmp_path, text, samples):
+        # one sample per dt over the horizon
+        cfg = write_cfg(tmp_path, text)
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
         lines = (tmp_path / "path.csv").read_text().splitlines()
         assert lines[0] == "t,y_total,x,c_rate"
+        assert len(lines) == samples + 1
         stats = (tmp_path / "stats.txt").read_text()
+        assert f"samples: {samples}\n" in stats
         assert "closed_form_mean_y:" in stats
         assert "truncation_bias:" in stats
 
@@ -430,6 +460,7 @@ class TestIdentifyCommand:
         emp_mean = float(lines[1].split(",")[1])
         fit_mean = float(lines[1].split(",")[2])
         assert fit_mean == pytest.approx(emp_mean, rel=0.01)
+        assert lines[-1].startswith("E,")
 
     def test_full_mode_at_station_scale(self, tmp_path):
         # two hourly years with the p1_point20 mean and variance; exponential
@@ -550,12 +581,13 @@ class TestVerifyCommand:
         assert calls[0][1] == dict(horizon=1200.0, dt=0.5, eps=0.005, seed=2)
 
     def test_corrupted_coefficient_fails(self, tmp_path, capsys):
-        # a FAIL (exit 4) is a finding, not an error: verify.txt is written and echoed
+        # a FAIL (exit 4) is a finding, not an error: verify.txt is written and
+        # echoed, and each of the three lifts' BKE lines fails
         cfg = write_cfg(tmp_path, self.CFG + "perturb = a,0,0,1.01\n")
         assert run(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERICAL
         report = (tmp_path / "verify.txt").read_text()
-        assert "FAIL" in report
-        assert capsys.readouterr().out == report
+        assert sum(line.startswith("FAIL BKE residuals") for line in report.splitlines()) == 3
+        assert capsys.readouterr() == (report, "")
 
     @pytest.mark.parametrize("perturb", ["a,7,0,1.01", "a,0,2,1.01", "b,-1,0,1.01", "b,2,0,1.01"])
     def test_perturbation_index_out_of_range(self, tmp_path, capsys, perturb):
@@ -662,7 +694,8 @@ class TestVerifyCommand:
             code = run(["verify", "--config", cfg, "--out", str(out), "--quiet"])
         assert code == EXIT_CONFIG
         assert [str(w.message) for w in caught] == []
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("counts", ["states = 0\ndraws = 4\n", "states = 20\ndraws = 0\n"])
@@ -702,12 +735,81 @@ class TestVerifyCommand:
         assert not (tmp_path / "refused").exists()
 
 
+# one valid config per command; the contract fuzzer sets one or two keys of it
+# to an edge value
+CONTRACT_CFG = {
+    "lift": "alpha = 2.0\nbeta = 1.0\nm_min = 1\nm_max = 3\n",
+    "solve": MODEL_CFG + "m = 2\nQabs = 0.2\nKbar = 0.01\nPbar = 1.0\n",
+    "sweep": MODEL_CFG + "m = 2\nQabs = 0.2\nKbar_grid = 0.001,0.01,0.1\n",
+    "simulate": MODEL_CFG + "m = 2\nhorizon = 50\ndt = 1.0\neps = 0.01\nseed = 3\n",
+    "verify": MODEL_CFG + "m = 1\nhorizon = 50\ndt = 0.5\neps = 0.005\nseed = 2\nstates = 5\ndraws = 2\n",
+}
+CONTRACT_KEYS = ["eps", "dt", "horizon", "Pbar", "Qabs", "D", "baseflow", "m"]
+EDGE_VALUES = ["0", "-1", "1e-300", "1e300", "1e-12", "1e5", "17", "nan", "inf", "abc", ""]
+FAILURE_PREFIXES = ("config error: ", "infeasible: ", "numerical failure: ")
+
+
+@st.composite
+def edge_configs(draw):
+    command = draw(st.sampled_from(sorted(CONTRACT_CFG)))
+    config = dict(line.split(" = ") for line in CONTRACT_CFG[command].strip().splitlines())
+    keys = st.sampled_from(sorted(set(config) | set(CONTRACT_KEYS)))
+    for key in draw(st.lists(keys, min_size=1, max_size=2, unique=True)):
+        config[key] = draw(st.sampled_from(EDGE_VALUES))
+    return command, "".join(f"{key} = {value}\n" for key, value in config.items())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edge_configs())
+# at beta = 1e300 and dt = 1e300, r_i D dt overflows to inf in the simulator and
+# in the path mean's standard error: numpy printed RuntimeWarnings
+@example(("simulate", CONTRACT_CFG["simulate"].replace("beta = 0.8", "beta = 1e300").replace("dt = 1.0", "dt = 1e300")))
+@example(("verify", CONTRACT_CFG["verify"].replace("beta = 0.8", "beta = 1e300").replace("dt = 0.5", "dt = 1e300")))
+# at A = 1e300 and beta = 1e-12, Var[Y_n] overflows: solve and sweep wrote J = inf
+@example(("solve", CONTRACT_CFG["solve"].replace("A = 0.5", "A = 1e300").replace("beta = 0.8", "beta = 1e-12")))
+@example(("sweep", CONTRACT_CFG["sweep"].replace("A = 0.5", "A = 1e300").replace("beta = 0.8", "beta = 1e-12")))
+# at c1 ~ 0 and c2 eps ~ 1e-12 the jump sampler accepted 3.5e-11 of its proposals: no return
+@example(("simulate", CONTRACT_CFG["simulate"].replace("c1 = 0.4", "c1 = 1e-12").replace("eps = 0.01", "eps = 1e-12")))
+@example(("verify", CONTRACT_CFG["verify"].replace("c1 = 0.4", "c1 = 0").replace("eps = 0.005", "eps = 1e-12")))
+# at alpha = beta = 1e300 the rate quantiles overflow: a RuntimeWarning, then exit 2
+@example(("lift", CONTRACT_CFG["lift"].replace("alpha = 2.0", "alpha = 1e300").replace("beta = 1.0", "beta = 1e300")))
+def test_every_config_keeps_the_cli_contract(command_and_text):
+    # a documented exit code and no exception; a failure leaves no --out (a
+    # verify FAIL is a finding, and writes its report) and one line on
+    # stderr; exit 0 reports only finite numbers (a failed sweep row's error
+    # is a message, which may quote an overflow); no warning
+    command, text = command_and_text
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert [str(w.message) for w in caught] == []
+        err = err.getvalue()
+        if command == "verify" and code == EXIT_NUMERICAL and out.exists():
+            assert err == "" and "FAIL" in (out / "verify.txt").read_text()
+        elif code == EXIT_OK:
+            assert err == ""
+            for report in out.iterdir():
+                for token in re.split(r"[\s,:=()%]+", re.sub(r",error:.*", "", report.read_text())):
+                    with contextlib.suppress(ValueError):
+                        assert math.isfinite(float(token)), f"{report.name}: {token}"
+        else:
+            assert code in (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL)
+            assert err.startswith(FAILURE_PREFIXES) and err.count("\n") == 1, err
+            assert not out.exists()
+
+
 def test_import_does_not_load_scipy_signal():
-    # scipy.signal would add most of a second to every cold CLI start
+    # scipy.signal would add most of a second to every cold CLI start, and
+    # scipy.optimize or scipy.integrate, imported where they are called, 0.2 s
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, supcbi, supcbi.cli; print('scipy.signal' in sys.modules)"
+    code = ("import sys, supcbi, supcbi.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.optimize', 'scipy.integrate') if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"

@@ -152,6 +152,14 @@ class TestTemperedStableLevy:
             )
             assert nu.tail_mass(eps) == pytest.approx(num, rel=1e-8)
 
+    @pytest.mark.parametrize("c1, x", [(0.01, 1.0), (0.01, 0.5), (0.02, 1.0)])
+    def test_tail_mass_for_small_positive_c1_is_near_exact(self, c1, x):
+        # the recurrence Gamma(-c1, x) = (x^-c1 e^-x - Gamma(1 - c1, x)) / c1,
+        # once used for c1 >= 1e-2 and x <= 1, was 4e-14 to 8.5e-14 off here
+        with mpmath.workdps(40):
+            exact = float(mpmath.gammainc(-c1, x))
+        assert TemperedStableLevy(c1=c1, c2=1.0).tail_mass(x) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         c1=st.one_of(
@@ -163,7 +171,7 @@ class TestTemperedStableLevy:
         log_c2=st.floats(-2.0, 2.0),
         log_x=st.floats(-11.0, math.log10(700.0)),
     )
-    @example(c1=0.0127, log_c2=0.0, log_x=math.log10(700.0))  # the recurrence is 5.6e-10 off here
+    @example(c1=0.0127, log_c2=0.0, log_x=math.log10(700.0))  # a recurrence was 5.6e-10 off here
     @example(c1=-5e-324, log_c2=0.0, log_x=0.0)  # gamma(-c1) overflows here
     def test_tail_mass_against_mpmath(self, c1, log_c2, log_x):
         # every c1 branch, with c2 * eps from 1e-11 to 700
@@ -225,6 +233,22 @@ class TestTemperedStableLevy:
         z = TemperedStableLevy(c1=c1, c2=c2).sample_truncated(eps, 2000, np.random.default_rng(3))
         assert np.all(z >= eps)
         with mpmath.workdps(20):
+            tail = mpmath.gammainc(-c1, c2 * eps)
+            cdf = np.vectorize(lambda v: float(1 - mpmath.gammainc(-c1, c2 * v) / tail))
+            assert stats.kstest(z, cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize(
+        "c1, c2, eps", [(0.0, 1.3, 1e-12), (1e-12, 1.3, 1e-12), (1e-4, 1.0, 1e-6), (0.0, 1.0, 1e-300)]
+    )
+    def test_tiny_c1_and_c2_eps_sampler_follows_the_conditional_law(self, c1, c2, eps):
+        # both rejection proposals accept below 1e-2 here (3.5e-11 at the first
+        # two, where the sampler did not return); the envelope draws accept 1/e or more
+        nu = TemperedStableLevy(c1=c1, c2=c2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = nu.sample_truncated(eps, 2000, np.random.default_rng(6))
+        assert np.all(z >= eps)
+        with mpmath.workdps(30):
             tail = mpmath.gammainc(-c1, c2 * eps)
             cdf = np.vectorize(lambda v: float(1 - mpmath.gammainc(-c1, c2 * v) / tail))
             assert stats.kstest(z, cdf).pvalue > 1e-3

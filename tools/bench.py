@@ -19,10 +19,10 @@ LIFT_RUNS calls; perfbench's `lift` calls stop at m = 9. Last it times the
 tier-1 suite. It
 writes their results together with the git revision, the sha256 of
 `git diff --full-index` of src, tests and perfbench against that revision
-(null when the tree matches it), so a record of an uncommitted tree still
-names the code it timed, and the Python, numpy and scipy versions and the
-CPU count. Comparing prints, for every metric the two files share, both
-values and the ratio B / A.
+and of the untracked files there (null when the tree matches it), so a
+record of an uncommitted tree still names the code it timed, and the
+Python, numpy and scipy versions and the CPU count. Comparing prints, for
+every metric the two files share, both values and the ratio B / A.
 """
 
 from __future__ import annotations
@@ -148,15 +148,30 @@ def _tier1() -> dict:
     return {"wall_s": round(wall, 3), "exit_code": done.returncode, "summary": summary}
 
 
+def _source_hash() -> str | None:
+    """sha256 of the tree's changes to src, tests and perfbench against HEAD; None when it has none.
+
+    It hashes `git diff --full-index HEAD` together with the path and bytes of
+    each untracked file there, which the diff leaves out.
+    """
+    paths = ["--", "src", "tests", "perfbench"]
+    diff = _run(["git", "diff", "--full-index", "HEAD", *paths]).stdout
+    untracked = _run(["git", "ls-files", "--others", "--exclude-standard", "-z", *paths]).stdout.split("\0")[:-1]
+    if not diff and not untracked:
+        return None
+    h = hashlib.sha256(diff.encode())
+    for name in untracked:
+        h.update(b"\0" + name.encode() + b"\0" + (ROOT / name).read_bytes())
+    return h.hexdigest()
+
+
 def _environment() -> dict:
     import numpy
     import scipy
 
-    revision = _run(["git", "rev-parse", "HEAD"]).stdout.strip()
-    diff = _run(["git", "diff", "--full-index", "HEAD", "--", "src", "tests", "perfbench"]).stdout
     return {
-        "revision": revision,
-        "source_diff_sha256": hashlib.sha256(diff.encode()).hexdigest() if diff else None,
+        "revision": _run(["git", "rev-parse", "HEAD"]).stdout.strip(),
+        "source_diff_sha256": _source_hash(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
