@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -205,41 +205,41 @@ def _model_stats(
     mc_horizon: float | None = None,
     mc_dt: float | None = None,
 ) -> dict[str, float]:
-    """Closed-form model statistics: mean (baseflow included) and variance.
+    """The statistics of `_matched_stats` by name, NaN for those the mode does not match.
+
+    The four mc_* arguments are accepted and unused; they parameterized a
+    Monte Carlo estimate of the skewness and kurtosis, and the benchmark
+    still passes them.
+    """
+    return dict(itertools.zip_longest(_STAT_NAMES, _matched_stats(model, lift, mode), fillvalue=math.nan))
+
+
+def _matched_stats(model: SupCbiModel, lift: Spectrum, mode: str) -> tuple[float, ...]:
+    """Closed-form model statistics in _STAT_NAMES order: mean (baseflow included) and variance.
 
     Full mode adds the skewness kappa_3 / kappa_2^1.5 and the (non-excess)
-    kurtosis 3 + kappa_4 / kappa_2^2 of the exact stationary cumulants. The
-    four mc_* arguments are accepted and unused; they parameterized a Monte
-    Carlo estimate of those two statistics, and the benchmark still passes
-    them.
+    kurtosis 3 + kappa_4 / kappa_2^2 of the exact stationary cumulants.
     """
-    stats = {
-        "Average": model.baseflow + stationary_mean(model, lift),
-        "Variance": stationary_variance(model, lift),
-        "Skewness": math.nan,
-        "Kurtosis": math.nan,
-    }
-    if mode == "full":
-        _, k2, k3, k4 = stationary_cumulants(model, lift)
-        stats["Skewness"] = k3 / k2**1.5
-        stats["Kurtosis"] = 3.0 + k4 / k2**2
-    return stats
+    mean = model.baseflow + stationary_mean(model, lift)
+    variance = stationary_variance(model, lift)
+    if mode != "full":
+        return mean, variance
+    _, k2, k3, k4 = stationary_cumulants(model, lift)
+    return mean, variance, k3 / k2**1.5, 3.0 + k4 / k2**2
 
 
-def _fit_error(
-    fitted: dict[str, float], empirical: dict[str, float], mode: str
-) -> tuple[float, dict[str, float]]:
-    """E and its terms, the squared relative error of each matched statistic.
+def _fit_error(fitted: Sequence[float], empirical: dict[str, float]) -> tuple[float, list[float]]:
+    """E and its terms, the squared relative error of each statistic in `fitted`.
 
-    The terms are added left to right in _STAT_NAMES order, not with `sum`,
-    which compensates its rounding from Python 3.12 on; E is then the same
-    number on every Python version.
+    `fitted` holds the first len(fitted) statistics of _STAT_NAMES. The terms
+    are added left to right, not with `sum`, which compensates its rounding
+    from Python 3.12 on; E is then the same number on every Python version.
     """
-    names = _STAT_NAMES if mode == "full" else _STAT_NAMES[:2]
-    terms = {name: ((fitted[name] - empirical[name]) / empirical[name]) ** 2 for name in names}
-    total = 0.0
-    for err in terms.values():
-        total += err
+    total, terms = 0.0, []
+    for name, fit in zip(_STAT_NAMES, fitted):
+        target = empirical[name]
+        terms.append(((fit - target) / target) ** 2)
+        total += terms[-1]
     return total, terms
 
 
@@ -247,7 +247,7 @@ def _build_model(
     params: np.ndarray, pi: GammaMixingMeasure, d: float
 ) -> SupCbiModel:
     """Decode the log/logit search vector into a model with B pinned by D."""
-    t1, t2, t3, t4 = params
+    t1, t2, t3, t4 = np.asarray(params, dtype=float).tolist()  # Python floats unpack faster
     c1 = 1.0 / (1.0 + math.exp(-t1))  # keeps c1 in (0, 1)
     c2 = math.exp(t2)
     a = math.exp(t3)
@@ -278,8 +278,7 @@ def moment_objective(
     if any(empirical[name] == 0.0 for name in names):
         return 1e12
     try:
-        model = _build_model(np.asarray(params, dtype=float), pi, d)
-        return _fit_error(_model_stats(model, lift, mode), empirical, mode)[0]
+        return _fit_error(_matched_stats(_build_model(params, pi, d), lift, mode), empirical)[0]
     except (ValueError, ArithmeticError):  # invalid parameters, or statistics out of float range
         return 1e12
 
@@ -331,15 +330,14 @@ def fit_moments(
         raise RuntimeError("moment matching failed to converge")
 
     model = _build_model(best_x, pi, d)
-    fitted = _model_stats(model, continuum, mode)
-    e, term_errors = _fit_error(fitted, empirical, mode)
+    e, terms = _fit_error(_matched_stats(model, continuum, mode), empirical)
     return FitReport(
         model=model,
         acf_window=acf_window,
         E=e,
-        term_errors=term_errors,
+        term_errors=dict(zip(_STAT_NAMES, terms)),
         empirical=empirical,
-        fitted=fitted,
+        fitted=_model_stats(model, continuum, mode),
         mode=mode,
     )
 

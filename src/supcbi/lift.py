@@ -85,14 +85,15 @@ class GammaContinuum:
     """The Gamma measure pi in a lift's place: the n -> infinity inv_mean, resolvent and laplace.
 
     With c = alpha - 1 and z = h / (D beta), by DLMF 13.6.6 and 8.19.1,
-    S = c z^c e^z Gamma(-c, z) and T = z^c e^z Gamma(1-c, z).
+    S = c z^c e^z Gamma(-c, z) and T = z^c e^z Gamma(1-c, z). inv_mean = R
+    is computed once here, as a lift's R_n is.
     """
 
     pi: GammaMixingMeasure
+    inv_mean: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def inv_mean(self) -> float:
-        return inv_mean(self.pi)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "inv_mean", inv_mean(self.pi))
 
     def resolvent(self, h: float, D: float) -> tuple[float, float]:
         if h == 0.0:

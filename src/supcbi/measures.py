@@ -201,8 +201,10 @@ def _envelope_draws(c1: float, x0: float, size: int, rng: np.random.Generator) -
 def levy_moment(nu: TemperedStableLevy, k: int) -> float:
     """k-th moment M_k = Gamma(k - c1) * c2^(c1 - k) of the Levy measure, integer k >= 1."""
     _check_moment_order(k)
-    a = k - nu.c1
-    return math.gamma(a) * nu.c2 ** (nu.c1 - k)
+    try:
+        return math.gamma(k - nu.c1) * nu.c2 ** (nu.c1 - k)
+    except OverflowError:
+        raise ArithmeticError(f"Levy moment M_{k} overflows at c1 = {nu.c1:.6g}, c2 = {nu.c2:.6g}") from None
 
 
 def _scaled_upper_gamma(c: float, x: float) -> float:

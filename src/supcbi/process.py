@@ -117,14 +117,19 @@ def stationary_cumulants(model: SupCbiModel, lift: Spectrum) -> tuple[float, flo
     g_j = (a_j + B sum_(l=1..j) a_l g_(j-l)) / D, and
     kappa_k = A R_n (k-1)! g_(k-1). For B = 0 this is A R_n M_k / k. R_n is
     the spectrum's inv_mean, so on the continuum it is R itself.
+
+    The recursion is written out: M1 and M2 are the model's, and the sums of
+    two and three terms are `math.fsum`s (one term is its own sum).
     """
-    a = [model.nu.truncated_moment(j + 1, model.eps) / math.factorial(j + 1) for j in range(4)]
-    g: list[float] = []
-    for j in range(4):
-        g.append((a[j] + model.B * math.fsum(a[l] * g[j - l] for l in range(1, j + 1))) / model.D)
+    nu, eps, b, d = model.nu, model.eps, model.B, model.D
+    a0, a1 = model.M1, model.M2 / 2
+    a2, a3 = nu.truncated_moment(3, eps) / 6, nu.truncated_moment(4, eps) / 24
+    g0 = a0 / d
+    g1 = (a1 + b * (a1 * g0)) / d
+    g2 = (a2 + b * math.fsum((a1 * g1, a2 * g0))) / d
+    g3 = (a3 + b * math.fsum((a1 * g2, a2 * g1, a3 * g0))) / d
     scale = model.A * lift.inv_mean
-    k1, k2, k3, k4 = (scale * math.factorial(j) * g[j] for j in range(4))
-    return k1, k2, k3, k4
+    return scale * g0, scale * g1, scale * 2 * g2, scale * 6 * g3
 
 
 def acf(model: SupCbiModel, spectrum: Spectrum, tau: float) -> float:

@@ -226,6 +226,15 @@ class TestSolveCommand:
         )
         assert not out.exists()
 
+    def test_overflowing_levy_moment_names_it(self, tmp_path, capsys):
+        # c2 = 1e-300: M1 = Gamma(0.6) 1e180 is finite, M2 = Gamma(1.6) 1e480 is not
+        cfg = write_cfg(tmp_path, MODEL_CFG.replace("B = 0.3", "B = 0").replace("c2 = 1.3", "c2 = 1e-300")
+                        + "m = 2\nQabs = 0.1\nKbar = 1\n")
+        out = tmp_path / "out"
+        assert run(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "numerical failure: Levy moment M_2 overflows at c1 = 0.4, c2 = 1e-300\n"
+        assert not out.exists()
+
     def test_water_abstracting_output(self, tmp_path):
         cfg = write_cfg(tmp_path, MODEL_CFG + "Qabs = 0.2\nKbar = 0.01\nm = 2\nPbar = 1.0\n")
         assert run(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK

@@ -7,6 +7,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 import pytest
 
+from supcbi import measures, process
 from supcbi.identify import (
     DischargeSeries,
     _model_stats,
@@ -18,9 +19,9 @@ from supcbi.identify import (
     read_series_csv,
     write_fit_report_csv,
 )
-from supcbi.lift import build_lift
-from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
-from supcbi.process import SupCbiModel, path_stats, stationary_cumulants
+from supcbi.lift import GammaContinuum, build_lift
+from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, inv_mean, levy_moment
+from supcbi.process import SupCbiModel, path_stats, stationary_cumulants, stationary_mean, stationary_variance
 
 
 def synthetic_series(mean, variance, n=2000, seed=0):
@@ -300,3 +301,123 @@ class TestFitMoments:
         lines = write_fit_report_csv(report).splitlines()
         assert lines[0] == "statistic,empirical,model,squared_rel_error"
         assert lines[-1].startswith("E,,,")
+
+
+STAT_NAMES = ("Average", "Variance", "Skewness", "Kurtosis")
+
+
+def generic_cumulants(model, spectrum):
+    """kappa_1..kappa_4 by the generic recursion: fsum over a generator, factorial weights."""
+    a = [model.nu.truncated_moment(j + 1, model.eps) / math.factorial(j + 1) for j in range(4)]
+    g = []
+    for j in range(4):
+        g.append((a[j] + model.B * math.fsum(a[l] * g[j - l] for l in range(1, j + 1))) / model.D)
+    r = inv_mean(spectrum.pi) if isinstance(spectrum, GammaContinuum) else spectrum.inv_mean
+    scale = model.A * r
+    return tuple(scale * math.factorial(j) * g[j] for j in range(4))
+
+
+def generic_objective(params, pi, d, spectrum, empirical, mode):
+    """E built from a dict of model statistics and a dict of terms, summed left to right."""
+    names = STAT_NAMES if mode == "full" else STAT_NAMES[:2]
+    if any(empirical[name] == 0.0 for name in names):
+        return 1e12
+    try:
+        t1, t2, t3, t4 = np.asarray(params, dtype=float)
+        nu = TemperedStableLevy(c1=1.0 / (1.0 + math.exp(-t1)), c2=math.exp(t2))
+        model = SupCbiModel(
+            A=math.exp(t3), B=(1.0 - d) / levy_moment(nu, 1), pi=pi, nu=nu, baseflow=math.exp(t4)
+        )
+        stats = {
+            "Average": model.baseflow + stationary_mean(model, spectrum),
+            "Variance": stationary_variance(model, spectrum),
+        }
+        if mode == "full":
+            _, k2, k3, k4 = generic_cumulants(model, spectrum)
+            stats["Skewness"] = k3 / k2**1.5
+            stats["Kurtosis"] = 3.0 + k4 / k2**2
+        terms = {name: ((stats[name] - empirical[name]) / empirical[name]) ** 2 for name in names}
+        total = 0.0
+        for err in terms.values():
+            total += err
+        return total
+    except (ValueError, ArithmeticError):
+        return 1e12
+
+
+def outcome(f, *args):
+    """The bytes of f's float or floats, so that NaNs and signed zeros compare too, or the
+    type of the exception f raised."""
+    try:
+        return np.array(f(*args), dtype=float).tobytes()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+def random_spectrum(rng, pi):
+    """A quantile lift with m = 0..5 or the continuum, uniformly."""
+    m = int(rng.integers(0, 7))
+    return GammaContinuum(pi) if m == 6 else build_lift(pi, m)
+
+
+class TestSameBitsAsTheGenericFormulas:
+    SEED = 20240901
+    COUNT = 600
+
+    def test_cumulants(self):
+        # c2 down to 1e-80 takes the moments past the float range: some cumulants
+        # are inf or NaN, and some models raise on an overflowing moment
+        rng = np.random.default_rng(self.SEED)
+        kinds = set()
+        for _ in range(self.COUNT):
+            pi = GammaMixingMeasure(rng.uniform(1.05, 6.0), 10.0 ** rng.uniform(-3.0, 1.0))
+            spectrum = random_spectrum(rng, pi)
+            nu = TemperedStableLevy(c1=rng.uniform(-2.0, 0.99), c2=10.0 ** rng.uniform(-80.0, 3.0))
+            a, excitation = 10.0 ** rng.uniform(-3.0, 2.0), rng.choice([0.0, rng.uniform(0.0, 0.999)])
+            for eps in (0.0, 1e-6, 1e-3):
+                b = excitation / nu.truncated_moment(1, eps)
+                model = SupCbiModel(A=a, B=b, pi=pi, nu=nu, eps=eps)
+                got = outcome(stationary_cumulants, model, spectrum)
+                assert got == outcome(generic_cumulants, model, spectrum)
+                kinds.add(got if isinstance(got, type) else np.isfinite(np.frombuffer(got)).all())
+        assert kinds == {True, False, ArithmeticError}
+
+    @pytest.mark.parametrize("mode", ["analytic", "full"])
+    def test_objective(self, mode):
+        rng = np.random.default_rng(self.SEED)
+        refused = 0
+        for _ in range(self.COUNT):
+            pi = GammaMixingMeasure(rng.uniform(1.05, 6.0), 10.0 ** rng.uniform(-3.0, 1.0))
+            spectrum = random_spectrum(rng, pi)
+            d = rng.uniform(0.05, 0.95)
+            empirical = dict(zip(STAT_NAMES, [
+                10.0 ** rng.uniform(-1.0, 2.0), 10.0 ** rng.uniform(-1.0, 3.0),
+                rng.uniform(-1.0, 10.0), rng.uniform(1.0, 100.0),
+            ]))
+            x0 = np.array([1.0, math.log(0.01), math.log(0.03), math.log(empirical["Average"])])
+            params = x0 + rng.normal(scale=rng.choice([1.0, 30.0, 300.0]), size=4)
+            got = outcome(moment_objective, params, pi, d, spectrum, empirical, mode)
+            assert got == outcome(generic_objective, params, pi, d, spectrum, empirical, mode)
+            refused += np.frombuffer(got)[0] == 1e12
+        # both regimes are covered: parameters refused and parameters scored
+        assert 0.1 * self.COUNT < refused < 0.9 * self.COUNT
+
+    @pytest.mark.parametrize("mode", ["analytic", "full"])
+    def test_zero_target_is_refused(self, mode):
+        pi = GammaMixingMeasure(alpha=2.0, beta=1.0)
+        empirical = {"Average": 2.0, "Variance": 0.0, "Skewness": 1.0, "Kurtosis": 5.0}
+        assert moment_objective(np.zeros(4), pi, 0.5, GammaContinuum(pi), empirical, mode=mode) == 1e12
+
+
+@pytest.mark.parametrize("mode, most", [("full", 5), ("analytic", 3)])
+def test_objective_levy_moment_calls(monkeypatch, mode, most):
+    # one evaluation: B's M1, the model's M1 and M2, and in full mode M3 and M4
+    calls = []
+    for module in (measures, process):  # every namespace that holds the name
+        monkeypatch.setattr(module, "levy_moment", lambda *args: calls.append(args) or levy_moment(*args))
+    pi = GammaMixingMeasure(alpha=2.3, beta=0.9)
+    empirical = {"Average": 3.0, "Variance": 2.0, "Skewness": 1.5, "Kurtosis": 6.0}
+    params = np.array([1.0, math.log(0.01), math.log(0.03), math.log(3.0)])
+    value = moment_objective(params, pi, 0.5, GammaContinuum(pi), empirical, mode=mode)
+    assert 0.0 < value < 1e12
+    assert len(calls) <= most

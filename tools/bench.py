@@ -15,8 +15,11 @@ imports; and in-process, the median of LONG_PATH_RUNS `cli.main` calls in
 one child after one untimed call. It times `supcbi verify` at its default
 states and draws the same in-process way, as the median of VERIFY_RUNS
 calls, and `supcbi lift` at its default levels (m = 6..13) as the median of
-LIFT_RUNS calls; perfbench's `lift` calls stop at m = 9. Last it times the
-tier-1 suite. It
+LIFT_RUNS calls; perfbench's `lift` calls stop at m = 9. It times a
+full-mode `supcbi identify` the same way, as the median of IDENTIFY_RUNS
+calls, on a two-year hourly series it writes from a `supcbi simulate` path
+(IDENTIFY_SERIES_CONFIG, so the series is the same on every run); perfbench
+identifies in analytic mode only. Last it times the tier-1 suite. It
 writes their results together with the git revision, the sha256 of
 `git diff --full-index` of src, tests and perfbench against that revision
 and of the untracked files there (null when the tree matches it), so a
@@ -58,6 +61,13 @@ VERIFY_RUNS = 9
 # the reference model's rate measure; `lift` builds m = 6..13, 16320 atoms in all
 LIFT_CONFIG = "alpha = 2.1\nbeta = 0.8\n"
 LIFT_RUNS = 9
+# two years of hourly discharge from the criterion-11 generator, baseflow added
+IDENTIFY_SERIES_CONFIG = (
+    "A = 0.8\nB = 0\nc1 = 0.2\nc2 = 1.0\nalpha = 2.0\nbeta = 1.0\nbaseflow = 1.0\n"
+    "m = 1\nhorizon = 17519\ndt = 1\neps = 0.01\nseed = 77\n"
+)
+IDENTIFY_CONFIG = "D = 0.5\nmax_lag = 200\nmode = full\nrestarts = 20\n"
+IDENTIFY_RUNS = 5
 # run in one child: an untimed `cli.main` call, then the timed ones; prints their wall times
 IN_PROCESS = """
 import json, sys, time
@@ -138,6 +148,22 @@ def _command(name: str, config_text: str, runs: int) -> dict:
         return {"in_process_s": round(_in_process(command, runs), 4)}
 
 
+def _identify() -> dict:
+    """Median in-process wall time of IDENTIFY_RUNS full-mode `supcbi identify` calls."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "simulate.cfg"
+        config.write_text(IDENTIFY_SERIES_CONFIG)
+        done = _run([sys.executable, "-m", "supcbi.cli", "simulate", "--config", str(config),
+                     "--out", tmp, "--quiet"], _src_env())
+        if done.returncode != 0:
+            raise SystemExit(f"simulate for the identify series exited {done.returncode}:\n{done.stderr}")
+        rows = (Path(tmp) / "path.csv").read_text().splitlines()[1:]
+        series = Path(tmp) / "series.csv"
+        series.write_text("timestamp,discharge_m3s\n" + "".join(
+            f"{t},{float(y) + 1.0!r}\n" for t, y in (row.split(",")[:2] for row in rows)))
+        return _command("identify", f"series = {series}\n" + IDENTIFY_CONFIG, IDENTIFY_RUNS)
+
+
 def _tier1() -> dict:
     """Wall time and pytest's summary line of the tier-1 suite."""
     start = time.perf_counter()
@@ -186,6 +212,7 @@ def record(out: Path) -> None:
     report["long_paths"] = {str(horizon): _long_path(horizon) for horizon in LONG_PATH_HORIZONS}
     report["verify"] = _command("verify", VERIFY_CONFIG, VERIFY_RUNS)
     report["lift"] = _command("lift", LIFT_CONFIG, LIFT_RUNS)
+    report["identify_full"] = _identify()
     report["tier1"] = _tier1()
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     incorrect = [f"{w} {m}" for w, runs in report["workloads"].items() for m, run in runs.items()
@@ -194,7 +221,8 @@ def record(out: Path) -> None:
 
 
 def _metrics(report: dict) -> dict[str, float]:
-    """Every metric of a snapshot, keyed workload/mode/metric, plus tier1/wall_s, the long paths, verify and lift."""
+    """Every metric of a snapshot, keyed workload/mode/metric, plus tier1/wall_s, the long paths,
+    verify, lift and full-mode identify."""
     flat = {"tier1/wall_s": report["tier1"]["wall_s"]}
     for workload, runs in report["workloads"].items():
         for mode, run in runs.items():
@@ -203,7 +231,7 @@ def _metrics(report: dict) -> dict[str, float]:
     for horizon, run in report.get("long_paths", {}).items():
         for name, value in run.items():
             flat[f"long_path/{horizon}/{name}"] = value
-    for command in ("verify", "lift"):
+    for command in ("verify", "lift", "identify_full"):
         for name, value in report.get(command, {}).items():
             flat[f"{command}/{name}"] = value
     return flat
