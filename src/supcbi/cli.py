@@ -86,7 +86,7 @@ def _parse_config(path: Path, command: str) -> dict[str, str]:
     allowed = _KEYS[command]
     config: dict[str, str] = {}
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -118,10 +118,8 @@ def _get_float(config: dict[str, str], key: str, default: float | None = None) -
     return value
 
 
-def _get_int(config: dict[str, str], key: str, default: int | None = None) -> int:
+def _get_int(config: dict[str, str], key: str, default: int) -> int:
     if key not in config:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
         return default
     try:
         return int(config[key])
@@ -330,7 +328,7 @@ def cmd_identify(args: argparse.Namespace, config: dict[str, str]) -> Result:
         raise ConfigError("missing required key 'series'")
     series_path = Path(config["series"])
     try:
-        with open(series_path, "r") as fh:
+        with open(series_path, encoding="utf-8") as fh:
             series = read_series_csv(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read series {series_path}: {exc}") from exc

@@ -297,7 +297,11 @@ def fit_moments(
 
     Derivative-free simplex search in log-parameter space over
     (c1, c2, A, baseflow) with random restarts; B = (1 - D)/M1 throughout, so
-    the fitted model is always stationary.
+    the fitted model is always stationary. Every matched statistic is a
+    relative error's denominator: a nonconstant series of nonnegative values
+    has a positive mean and variance and a kurtosis of at least 1, but full
+    mode refuses a series whose skewness is 0, before the search, with a
+    ValueError (each objective call would return 1e12).
     """
     from scipy.optimize import minimize
     if mode not in ("analytic", "full"):
@@ -309,6 +313,8 @@ def fit_moments(
     pi = GammaMixingMeasure(alpha=alpha, beta=beta)
     continuum = GammaContinuum(pi)
     empirical = _series_stats(series.values)
+    if mode == "full" and empirical["Skewness"] == 0.0:
+        raise ValueError("the series' Skewness is 0, so its relative error is undefined; use mode = analytic")
 
     def objective(params: np.ndarray) -> float:
         return moment_objective(params, pi, d, continuum, empirical, mode=mode)

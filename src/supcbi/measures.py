@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -230,8 +229,6 @@ def _scaled_upper_gamma(c: float, x: float) -> float:
 # two on a 2-vCPU KVM guest, 960 gammaincinv points took 1.2x the time of one
 # call and 1024 points 0.7-0.9x, so 2048 keeps a margin above the crossover.
 _MIN_CHUNK = 2048
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 
 
 def _cores() -> int:
@@ -242,24 +239,17 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _executor(workers: int) -> ThreadPoolExecutor:
-    """The process's worker threads, created on first use."""
+def _make_pool() -> None:
+    # at import, and again in a forked child, which has none of its parent's
+    # threads: work submitted to the inherited pool would never run. One
+    # worker per core besides the caller's; each starts on its first submit
     global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="supcbi-ufunc")
-        return _pool
+    _pool = ThreadPoolExecutor(max(_cores() - 1, 1), thread_name_prefix="supcbi-ufunc")
 
 
-def _drop_executor() -> None:
-    # a forked child has none of its parent's threads: work submitted to the
-    # inherited pool would never run, so the child creates its own
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
+_make_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_executor)
+    os.register_at_fork(after_in_child=_make_pool)
 
 
 def _split_ufunc(ufunc: np.ufunc, a: float, x: np.ndarray) -> np.ndarray:
@@ -277,8 +267,7 @@ def _split_ufunc(ufunc: np.ufunc, a: float, x: np.ndarray) -> np.ndarray:
         return ufunc(a, x)
     out = np.empty_like(x)
     bounds = [i * x.size // chunks for i in range(chunks + 1)]
-    pool = _executor(cores - 1)
-    futures = [pool.submit(ufunc, a, x[lo:hi], out=out[lo:hi]) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    futures = [_pool.submit(ufunc, a, x[lo:hi], out=out[lo:hi]) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     ufunc(a, x[: bounds[1]], out=out[: bounds[1]])
     for future in futures:
         future.result()

@@ -17,7 +17,7 @@ from supcbi import control
 from supcbi.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK, main
 from supcbi.lift import MarkovianLift, build_lift, convergence_report
 from supcbi.measures import GammaMixingMeasure, TemperedStableLevy, levy_moment
-from supcbi.process import SupCbiModel, grid_mean_variance, simulate, stationary_mean
+from supcbi.process import SupCbiModel, grid_mean_variance, simulate, stationary_mean, stationary_variance
 
 MODEL_CFG = """
 A = 0.5
@@ -234,6 +234,23 @@ class TestSolveCommand:
         assert run(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_NUMERICAL
         assert capsys.readouterr().err == "numerical failure: Levy moment M_2 overflows at c1 = 0.4, c2 = 1e-300\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("pbar", [None, 1.0])
+    def test_water_adding_output(self, tmp_path, pbar):
+        # Qhat above the mean inflow: no controller, and J = Var[Y_n] is an infimum only
+        cfg = write_cfg(tmp_path, MODEL_CFG + "Qhat = 100\nKbar = 0.01\nm = 2\n" + (f"Pbar = {pbar}\n" if pbar else ""))
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        model = SupCbiModel(A=0.5, B=0.3, pi=GammaMixingMeasure(alpha=2.1, beta=0.8),
+                            nu=TemperedStableLevy(c1=0.4, c2=1.3))
+        lift = build_lift(model.pi, 2)
+        q = control.q_from_target(model, lift, qhat=100.0)
+        lines = (tmp_path / "solution.txt").read_text().splitlines()
+        assert lines[0] == "case: WaterAdding" and q > 1.0
+        assert lines[2:7] == ["hbar: 0", "rho: 0", "u: 0", f"J: {stationary_variance(model, lift):.17g}", "K: 0"]
+        if pbar:
+            assert lines[7:9] == [f"P: {control.p_bounds(model, lift, q)[0]:.17g}", "active_constraint: none"]
+        assert lines[-1] == "note: infimum only; J approaches Var[Y_n] as h -> 0 but no minimizer exists"
+        assert len(lines) == (10 if pbar else 8)
 
     def test_water_abstracting_output(self, tmp_path):
         cfg = write_cfg(tmp_path, MODEL_CFG + "Qabs = 0.2\nKbar = 0.01\nm = 2\nPbar = 1.0\n")
@@ -529,6 +546,20 @@ class TestIdentifyCommand:
             reports.append([(out / name).read_bytes() for name in ("fit_report.txt", "fit_report.csv")])
         assert reports[0] == reports[1] == reports[2]
 
+    def test_full_mode_refuses_a_series_with_zero_skewness(self, tmp_path, capsys):
+        # a square wave: its sample skewness is exactly 0, a target with no relative error
+        series_path = tmp_path / "series.csv"
+        series_path.write_text(
+            "timestamp,discharge_m3s\n" + "".join(f"{float(i)},{2.0 if i // 50 % 2 == 0 else 1.0}\n" for i in range(4000))
+        )
+        cfg = write_cfg(tmp_path, f"series = {series_path}\nD = 0.5\nmode = full\n")
+        out = tmp_path / "out"
+        assert run(["identify", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: the series' Skewness is 0, so its relative error is undefined; use mode = analytic\n"
+        )
+        assert not out.exists()
+
     def test_non_uniform_rejected(self, tmp_path):
         series_path = tmp_path / "bad.csv"
         series_path.write_text(
@@ -744,6 +775,35 @@ class TestVerifyCommand:
         assert not (tmp_path / "refused").exists()
 
 
+@pytest.mark.parametrize(
+    "command, text, error",
+    [
+        ("lift", None, "cannot read config"),
+        ("lift", "alpha = 2.1\nbeta\n", "expected key=value, got 'beta'"),
+        ("sweep", MODEL_CFG + "Qabs = 0.2\nKbar_grid = 0.01,abc\n", "Kbar_grid: not a number list"),
+        ("sweep", MODEL_CFG + "Qabs = 0.2\n", "missing required key 'Kbar_grid'"),
+        ("sweep", "Qabs = 0.2\nKbar_grid = 0.01\nsites_dir = {tmp}/sites\n", "no *.cfg site configs found"),
+        ("simulate", TestSimulateCommand.CFG + "rho = 0.5\nu = 0.5\nxhat = 0.5\n", "controller requires rho > u"),
+        ("simulate", TestSimulateCommand.CFG + "rho = -1\nu = -2\nxhat = 0.5\n", "controller requires rho > 0"),
+        ("identify", "D = 0.5\n", "missing required key 'series'"),
+        ("identify", "series = {tmp}/absent.csv\n", "cannot read series"),
+        ("verify", TestVerifyCommand.CFG + "perturb = a,0,0\n", "perturb must be kind,i,j,factor"),
+        ("verify", TestVerifyCommand.CFG + "perturb = a,x,0,1.01\n", "bad perturb spec"),
+    ],
+    ids=["unreadable-config", "no-equals", "grid-not-numbers", "no-grid", "no-site-configs", "rho-equals-u",
+         "rho-negative", "no-series", "unreadable-series", "perturb-arity", "perturb-numbers"],
+)
+def test_refused_config_exits_2_with_one_line(tmp_path, capsys, command, text, error):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    (tmp_path / "sites").mkdir()
+    if text is not None:
+        cfg.write_text(text.format(tmp=tmp_path))
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and error in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 # one valid config per command; the contract fuzzer sets one or two keys of it
 # to an edge value
 CONTRACT_CFG = {
@@ -811,14 +871,36 @@ def test_every_config_keeps_the_cli_contract(command_and_text):
             assert not out.exists()
 
 
+def _src_env(**variables):
+    """The environment with this checkout's src first on PYTHONPATH, and `variables` set."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                **variables)
+
+
 def test_import_does_not_load_scipy_signal():
     # scipy.signal would add most of a second to every cold CLI start, and
-    # scipy.optimize or scipy.integrate, imported where they are called, 0.2 s
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    code = ("import sys, supcbi, supcbi.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.optimize', 'scipy.integrate') if m in sys.modules])")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    # scipy.optimize or scipy.integrate, imported where they are called, 0.2 s;
+    # the quantile pool is made at import but starts no thread until it is used
+    code = ("import sys, threading, supcbi, supcbi.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.optimize', 'scipy.integrate') if m in sys.modules], "
+            "threading.active_count())")
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "[] 1"
+
+
+def test_config_is_read_as_utf8_in_an_ascii_locale(tmp_path):
+    # reports are written as UTF-8, and a config is read as UTF-8 whatever the locale
+    cfg = tmp_path / "lift.cfg"
+    cfg.write_text("# débit de référence\nalpha = 2.1\nbeta = 0.8\nm_max = 7\n", encoding="utf-8")
+    env = _src_env(LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    lifts = []
+    for utf8_mode in ("0", "1"):
+        out = tmp_path / f"utf8-{utf8_mode}"
+        done = subprocess.run([sys.executable, "-X", f"utf8={utf8_mode}", "-m", "supcbi.cli", "lift",
+                               "--config", str(cfg), "--out", str(out), "--quiet"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lifts.append((out / "lift.csv").read_bytes())
+    assert lifts[0] == lifts[1]

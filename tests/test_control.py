@@ -435,6 +435,23 @@ class TestSolvers:
                 q_from_target(model, lift, **target)
 
 
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda model, lift: eval_J(model, lift, 0.5, -1.0), "need h >= 0 and q > 0"),
+        (lambda model, lift: eval_J(model, lift, 0.0, 1.0), "need h >= 0 and q > 0"),
+        (lambda model, lift: solve_hbar(model, lift, 0.5, 0.0), "kbar must be positive"),
+        (lambda model, lift: solve_hbar(model, lift, 0.5, -1.0), "kbar must be positive"),
+        (lambda model, lift: variance_bke_coefficients(model, lift, 0.5, 0.0, 1.0), "require h > 0"),
+        (lambda model, lift: cost_bke_coefficients(model, lift, 0.5, np.array([0.1, -0.1])), "require h > 0"),
+    ],
+    ids=["J-negative-h", "J-zero-q", "hbar-zero-kbar", "hbar-negative-kbar", "variance-zero-h", "cost-negative-h"],
+)
+def test_arguments_outside_the_domain_rejected(model_lift, call, error):
+    with pytest.raises(ValueError, match=error):
+        call(*model_lift)
+
+
 class TestSweep:
     def test_rows_and_error_capture(self, model_lift):
         model, lift = model_lift

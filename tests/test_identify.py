@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import time
@@ -189,6 +190,9 @@ class TestFitAcf:
             fit_acf(np.array([0.9, 0.5, 0.3]), 0.5)  # acf[0] != 1
         with pytest.raises(ValueError):
             fit_acf(np.array([1.0, -0.5, 0.3]), 0.5)  # no window
+        for d in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"D must lie in \(0, 1\)"):
+                fit_acf(np.array([1.0, 0.5, 0.3]), d)
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_sampling_interval(self, dt):
@@ -212,10 +216,20 @@ class TestFitMoments:
         with pytest.raises(ValueError, match="restarts must be at least 1"):
             fit_moments(series, alpha=2.329, beta=3.149e-2 / 0.5, restarts=restarts)
 
+    @pytest.mark.parametrize(
+        "settings, error", [({"mode": "mc"}, "mode must be"), ({"d": 0.0}, "D must lie"), ({"d": 1.0}, "D must lie")]
+    )
+    def test_rejects_bad_mode_or_d(self, settings, error):
+        series = synthetic_series(9.029, 403.9, seed=3)
+        with pytest.raises(ValueError, match=error):
+            fit_moments(series, alpha=2.329, beta=3.149e-2 / 0.5, **settings)
+
     def test_error_metric_is_sum_of_terms(self):
         series = synthetic_series(9.029, 403.9, seed=3)
         report = fit_moments(series, alpha=2.329, beta=3.149e-2 / 0.5)
         assert report.E == pytest.approx(sum(report.term_errors.values()), abs=1e-14)
+        with pytest.raises(ValueError, match="sum of its terms"):
+            dataclasses.replace(report, E=report.E + 1.0)
 
     def test_empirical_statistics_are_path_stats(self):
         series = synthetic_series(9.029, 403.9, seed=3)

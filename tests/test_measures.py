@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -67,39 +68,54 @@ class TestGammaMixingMeasure:
     def test_split_quantiles_keep_the_bits_of_one_call(self, monkeypatch, cores):
         # the lift's levels at m = 12..16 are split over the cores, unevenly
         # over three; below 4096 levels, and on one core, there is one call
-        split = []
-        executor = measures._executor
+        submitted = []
+        submit = measures._pool.submit
         monkeypatch.setattr(measures, "_cores", lambda: cores)
-        monkeypatch.setattr(measures, "_executor", lambda workers: split.append(workers) or executor(workers))
+        monkeypatch.setattr(measures._pool, "submit", lambda *args, **kw: submitted.append(1) or submit(*args, **kw))
         pi = GammaMixingMeasure(alpha=2.329, beta=0.06298)
         for m in range(17):
             n = 2**m
             levels = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
             expected = pi.beta * special.gammaincinv(pi.alpha, levels)
             assert pi_quantile(pi, levels).tobytes() == expected.tobytes()
-        assert split == ([] if cores == 1 else [cores - 1] * 5)
+        assert len(submitted) == sum(min(cores, 2**m // 2048) - 1 for m in range(12, 17))
 
     def test_concurrent_callers_share_one_pool(self, monkeypatch):
-        # more callers than cores race to create the pool and then share it
-        pools = []
-        executor = measures._executor
+        # more callers than cores split at once; the chunks that leave a
+        # caller's thread all run on the one pool's threads, at most its cap
+        cap = max(measures._cores() - 1, 1)
+        chunk_threads = []
         monkeypatch.setattr(measures, "_cores", lambda: 3)
-        monkeypatch.setattr(measures, "_pool", None)
-        monkeypatch.setattr(measures, "_executor", lambda workers: pools.append(executor(workers)) or pools[-1])
+        monkeypatch.setattr(measures, "gammaincinv", lambda a, x, out=None: chunk_threads.append(
+            threading.current_thread().name) or special.gammaincinv(a, x, out=out))
         pi = GammaMixingMeasure(alpha=2.1, beta=0.8)
         levels = (2.0 * np.arange(1, 8193) - 1.0) / 16384.0
         expected = (pi.beta * special.gammaincinv(pi.alpha, levels)).tobytes()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(6) as callers:
+            with ThreadPoolExecutor(6, thread_name_prefix="caller") as callers:
                 got = list(callers.map(lambda _: pi_quantile(pi, levels).tobytes(), range(24)))
         finally:
             sys.setswitchinterval(interval)
-            if measures._pool is not None:
-                measures._pool.shutdown()
         assert got == [expected] * 24
-        assert len(pools) == 24 and len({id(pool) for pool in pools}) == 1
+        pool_threads = [name for name in chunk_threads if not name.startswith("caller")]
+        assert len(chunk_threads) == 72 and len(pool_threads) == 48
+        assert all(name.startswith("supcbi-ufunc") for name in pool_threads)
+        assert len(set(pool_threads)) <= cap
+
+    def test_one_split_uses_at_most_a_thread_per_spare_core(self):
+        # the caller fills one chunk of an m = 13 split and the pool the rest
+        threads = set()
+
+        def ufunc(a, x, out=None):
+            threads.add(threading.get_ident())
+            return special.gammaincinv(a, x, out=out)
+
+        levels = (2.0 * np.arange(1, 8193) - 1.0) / 16384.0
+        got = measures._split_ufunc(ufunc, 2.329, levels)
+        assert got.tobytes() == special.gammaincinv(2.329, levels).tobytes()
+        assert len(threads - {threading.get_ident()}) <= measures._cores() - 1
 
 
 class TestTemperedStableLevy:
@@ -108,6 +124,18 @@ class TestTemperedStableLevy:
             TemperedStableLevy(c1=1.0, c2=1.0)
         with pytest.raises(ValueError):
             TemperedStableLevy(c1=0.5, c2=0.0)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3])
+    def test_truncation_level_outside_the_domain_rejected(self, eps):
+        # M_k(0) is the full moment; the tail mass and the sampler need eps > 0
+        nu = TemperedStableLevy(c1=0.4, c2=1.3)
+        if eps < 0.0:
+            with pytest.raises(ValueError, match="nonnegative"):
+                nu.truncated_moment(1, eps)
+        with pytest.raises(ValueError, match="positive truncation level"):
+            nu.tail_mass(eps)
+        with pytest.raises(ValueError, match="positive truncation level"):
+            nu.sample_truncated(eps, 5, np.random.default_rng(0))
 
     def test_moments_closed_form(self):
         # Gamma(0.5) = sqrt(pi) appears for c1 = 0.5, k = 1

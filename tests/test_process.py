@@ -43,6 +43,8 @@ class TestModel:
         pi = GammaMixingMeasure(alpha=2.0, beta=1.0)
         with pytest.raises(ValueError):
             SupCbiModel(A=1.0, B=2.0, pi=pi, nu=nu)  # B*M1 > 1
+        with pytest.raises(ValueError, match="self-excitation scale B must be nonnegative"):
+            SupCbiModel(A=1.0, B=-0.1, pi=pi, nu=nu)
 
     def test_truncated_copy(self):
         model = small_model(B=0.3)

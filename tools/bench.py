@@ -19,7 +19,12 @@ LIFT_RUNS calls; perfbench's `lift` calls stop at m = 9. It times a
 full-mode `supcbi identify` the same way, as the median of IDENTIFY_RUNS
 calls, on a two-year hourly series it writes from a `supcbi simulate` path
 (IDENTIFY_SERIES_CONFIG, so the series is the same on every run); perfbench
-identifies in analytic mode only. Last it times the tier-1 suite. It
+identifies in analytic mode only. It times a cold start of each of the six
+commands, the median wall time of COLD_RUNS `python -m supcbi.cli <command>`
+children on the small COLD_CONFIGS (identify reads the same series in
+analytic mode), which is mostly interpreter start-up and imports; perfbench's
+setup_s cannot see import cost, because perfbench imports scipy itself.
+Last it times the tier-1 suite. It
 writes their results together with the git revision, the sha256 of
 `git diff --full-index` of src, tests and perfbench against that revision
 and of the untracked files there (null when the tree matches it), so a
@@ -55,8 +60,8 @@ LONG_PATH_CONFIG = (
 )
 LONG_PATH_HORIZONS = (10_000, 100_000)
 LONG_PATH_RUNS = 3
-# the reference model with verify's defaults: 100 states and 20 draws per lift
-VERIFY_CONFIG = "A = 0.5\nB = 0.3\nc1 = 0.4\nc2 = 1.3\nalpha = 2.1\nbeta = 0.8\n"
+# the reference model; verify runs on it at its defaults, 100 states and 20 draws per lift
+REFERENCE_MODEL = "A = 0.5\nB = 0.3\nc1 = 0.4\nc2 = 1.3\nalpha = 2.1\nbeta = 0.8\n"
 VERIFY_RUNS = 9
 # the reference model's rate measure; `lift` builds m = 6..13, 16320 atoms in all
 LIFT_CONFIG = "alpha = 2.1\nbeta = 0.8\n"
@@ -68,6 +73,16 @@ IDENTIFY_SERIES_CONFIG = (
 )
 IDENTIFY_CONFIG = "D = 0.5\nmax_lag = 200\nmode = full\nrestarts = 20\n"
 IDENTIFY_RUNS = 5
+# each command on a small config; identify's series is prepended
+COLD_CONFIGS = {
+    "lift": LIFT_CONFIG,
+    "solve": REFERENCE_MODEL + "m = 4\nQabs = 0.2\nKbar = 0.01\n",
+    "sweep": REFERENCE_MODEL + "m = 4\nQabs = 0.2\nKbar_grid = 0.001,0.01,0.1\n",
+    "simulate": REFERENCE_MODEL + "m = 2\nhorizon = 200\ndt = 1\neps = 0.01\n",
+    "identify": "D = 0.5\nmax_lag = 200\n",
+    "verify": REFERENCE_MODEL + "m = 1\nstates = 10\ndraws = 2\n",
+}
+COLD_RUNS = 5
 # run in one child: an untimed `cli.main` call, then the timed ones; prints their wall times
 IN_PROCESS = """
 import json, sys, time
@@ -148,20 +163,48 @@ def _command(name: str, config_text: str, runs: int) -> dict:
         return {"in_process_s": round(_in_process(command, runs), 4)}
 
 
+def _identify_series(tmp: Path) -> Path:
+    """Write the two-year series of IDENTIFY_SERIES_CONFIG to tmp/series.csv, and return its path."""
+    config = tmp / "simulate.cfg"
+    config.write_text(IDENTIFY_SERIES_CONFIG)
+    done = _run([sys.executable, "-m", "supcbi.cli", "simulate", "--config", str(config),
+                 "--out", str(tmp), "--quiet"], _src_env())
+    if done.returncode != 0:
+        raise SystemExit(f"simulate for the identify series exited {done.returncode}:\n{done.stderr}")
+    rows = (tmp / "path.csv").read_text().splitlines()[1:]
+    series = tmp / "series.csv"
+    series.write_text("timestamp,discharge_m3s\n" + "".join(
+        f"{t},{float(y) + 1.0!r}\n" for t, y in (row.split(",")[:2] for row in rows)))
+    return series
+
+
 def _identify() -> dict:
     """Median in-process wall time of IDENTIFY_RUNS full-mode `supcbi identify` calls."""
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "simulate.cfg"
-        config.write_text(IDENTIFY_SERIES_CONFIG)
-        done = _run([sys.executable, "-m", "supcbi.cli", "simulate", "--config", str(config),
-                     "--out", tmp, "--quiet"], _src_env())
-        if done.returncode != 0:
-            raise SystemExit(f"simulate for the identify series exited {done.returncode}:\n{done.stderr}")
-        rows = (Path(tmp) / "path.csv").read_text().splitlines()[1:]
-        series = Path(tmp) / "series.csv"
-        series.write_text("timestamp,discharge_m3s\n" + "".join(
-            f"{t},{float(y) + 1.0!r}\n" for t, y in (row.split(",")[:2] for row in rows)))
+        series = _identify_series(Path(tmp))
         return _command("identify", f"series = {series}\n" + IDENTIFY_CONFIG, IDENTIFY_RUNS)
+
+
+def _cold_starts() -> dict:
+    """Median wall time of COLD_RUNS `python -m supcbi.cli <command>` children per command.
+
+    The commands take turns, so a change in the host's load reaches each alike.
+    """
+    walls: dict[str, list[float]] = {name: [] for name in COLD_CONFIGS}
+    with tempfile.TemporaryDirectory() as tmp:
+        series = _identify_series(Path(tmp))
+        for name, text in COLD_CONFIGS.items():
+            (Path(tmp) / f"{name}.cfg").write_text((f"series = {series}\n" if name == "identify" else "") + text)
+        for _ in range(COLD_RUNS):
+            for name in COLD_CONFIGS:
+                argv = [sys.executable, "-m", "supcbi.cli", name, "--config", str(Path(tmp) / f"{name}.cfg"),
+                        "--out", tmp, "--quiet"]
+                start = time.perf_counter()
+                done = _run(argv, _src_env())
+                walls[name].append(time.perf_counter() - start)
+                if done.returncode != 0:
+                    raise SystemExit(f"cold {name} exited {done.returncode}:\n{done.stderr}")
+    return {name: {"cold_s": round(statistics.median(runs), 3)} for name, runs in walls.items()}
 
 
 def _tier1() -> dict:
@@ -210,9 +253,10 @@ def record(out: Path) -> None:
     for workload in WORKLOADS:
         report["workloads"][workload] = {mode: _perfbench(workload, trace) for mode, trace in MODES.items()}
     report["long_paths"] = {str(horizon): _long_path(horizon) for horizon in LONG_PATH_HORIZONS}
-    report["verify"] = _command("verify", VERIFY_CONFIG, VERIFY_RUNS)
+    report["verify"] = _command("verify", REFERENCE_MODEL, VERIFY_RUNS)
     report["lift"] = _command("lift", LIFT_CONFIG, LIFT_RUNS)
     report["identify_full"] = _identify()
+    report["cold_start"] = _cold_starts()
     report["tier1"] = _tier1()
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     incorrect = [f"{w} {m}" for w, runs in report["workloads"].items() for m, run in runs.items()
@@ -222,7 +266,7 @@ def record(out: Path) -> None:
 
 def _metrics(report: dict) -> dict[str, float]:
     """Every metric of a snapshot, keyed workload/mode/metric, plus tier1/wall_s, the long paths,
-    verify, lift and full-mode identify."""
+    verify, lift, full-mode identify and the cold starts."""
     flat = {"tier1/wall_s": report["tier1"]["wall_s"]}
     for workload, runs in report["workloads"].items():
         for mode, run in runs.items():
@@ -234,6 +278,9 @@ def _metrics(report: dict) -> dict[str, float]:
     for command in ("verify", "lift", "identify_full"):
         for name, value in report.get(command, {}).items():
             flat[f"{command}/{name}"] = value
+    for command, run in report.get("cold_start", {}).items():
+        for name, value in run.items():
+            flat[f"cold_start/{command}/{name}"] = value
     return flat
 
 
